@@ -1,4 +1,4 @@
-"""Exact enumeration of Hamiltonian sets of polygonal paths.
+"""Exact counting and enumeration of Hamiltonian sets of polygonal paths.
 
 A Hamiltonian set of a graph is a collection of vertex-disjoint polygonal
 paths, singletons allowed, that together visit every vertex.  Each such set
@@ -8,13 +8,21 @@ mask stands for edge e_i, so masks range over 2n-1 bits.
 Three facts drive the algorithms here.  The fingerprint map is injective, no
 fingerprint contains two adjacent ones (consecutive edges meet straight
 through, never at a corner), and the all-alternating mask 1010...1 is never
-hit.  Enumeration therefore only needs to scan the Fibonacci-many masks
-without adjacent ones and keep those whose edges induce disjoint paths,
-which this module checks with a tiny union-find.
+hit.  A mask without adjacent ones takes at most one edge of each
+straight-through pair, so no vertex gets degree three; such a mask is a
+fingerprint exactly when its edges contain no loop and no cycle.
+
+Counting runs a frontier dynamic programme over the edges, whose cost is set
+by the cut width of the word (how many letters are open at once) rather than
+by F(2n+1).  Enumeration scans the Fibonacci-many masks without adjacent ones
+and keeps those whose edges induce disjoint paths, checked with a tiny
+union-find; that scan, and the brute-force path search, are the oracles the
+count is tested against.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,13 +148,11 @@ def _find(parent: list[int], x: int) -> int:
 def _selects_disjoint_paths(graph: AssemblyGraph, mask: int) -> bool:
     """Does the mask's edge set induce vertex-disjoint simple paths?
 
-    Rejects loops, any vertex of induced degree three, and cycles, the
-    parallel two-edge kind included.  Assumes the mask has no two adjacent
-    bits, which already guarantees corner turns at shared vertices.
+    Rejects loops and cycles, the parallel two-edge kind included.  Assumes
+    the mask has no two adjacent bits, which already guarantees corner turns
+    at shared vertices and induced degree at most two.
     """
-    size = graph.n
-    parent = list(range(size))
-    degree = [0] * size
+    parent = list(range(graph.n))
     slots = graph.edge_slots
     while mask:
         low = mask & -mask
@@ -154,10 +160,6 @@ def _selects_disjoint_paths(graph: AssemblyGraph, mask: int) -> bool:
         u, v = slots[low.bit_length() - 1]
         if u == v:
             return False
-        if degree[u] == 2 or degree[v] == 2:
-            return False
-        degree[u] += 1
-        degree[v] += 1
         ru, rv = _find(parent, u), _find(parent, v)
         if ru == rv:
             return False
@@ -217,15 +219,53 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> HamiltonianSet
 def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
     """How many Hamiltonian sets the graph has.
 
-    Scans only the Fibonacci-many masks without adjacent ones; the count is
-    bounded by F_(2n+1), and equality never occurs because the alternating
-    mask always fails.
+    A frontier dynamic programme over the edges e_1..e_(2n-1), left to
+    right.  A letter is open from its first occurrence until the last edge
+    at its second occurrence has been processed.  The state is the split of
+    the open letters into components, labelled in order of first appearance,
+    and maps to two counts: selections whose last edge was left out and
+    selections that took it.  An edge may be taken when the previous one was
+    not, it is no loop, and its ends lie in different components, so the
+    selections counted are exactly the masks without adjacent ones whose
+    edges induce disjoint paths.  The number of states is set by how many
+    letters are open at once, not by F_(2n+1); the bound F_(2n+1) - 1 is
+    never reached because the alternating mask always closes a cycle.
     """
-    return sum(
-        1
-        for mask in nonconsecutive_masks(graph.num_real_edges)
-        if _selects_disjoint_paths(graph, mask)
-    )
+    w = graph.word.letters
+    last = {a: k for k, a in enumerate(w)}
+    frontier = [w[0]]
+    # partition of the open letters -> [count, last edge free; count, last edge taken]
+    states: dict[tuple[int, ...], list[int]] = {(0,): [1, 0]}
+    for k in range(1, len(w)):
+        a, b = w[k - 1], w[k]
+        if b not in frontier:
+            frontier.append(b)
+            states = {p + (max(p) + 1,): c for p, c in states.items()}
+        x, y = frontier.index(a), frontier.index(b)
+        drop = x if last[a] == k - 1 else -1
+        if drop >= 0:
+            del frontier[drop]
+        nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
+        for p, (free, taken) in states.items():
+            nxt[p if drop < 0 else _without(p, drop)][0] += free + taken
+            # a loop has both ends in one slot, so it fails lo != hi too
+            lo, hi = p[x], p[y]
+            if free and lo != hi:
+                if lo > hi:
+                    lo, hi = hi, lo
+                # hi's first appearance follows lo's, so folding hi into lo
+                # keeps the first-appearance order of every other label
+                q = tuple([lo if label == hi else label - (label > hi) for label in p])
+                nxt[q if drop < 0 else _without(q, drop)][1] += free
+        states = nxt
+    return sum(free + taken for free, taken in states.values())
+
+
+def _without(p: tuple[int, ...], drop: int) -> tuple[int, ...]:
+    """Partition ``p`` with slot ``drop`` removed, relabelled in order of
+    first appearance."""
+    seen: dict[int, int] = {}
+    return tuple([seen.setdefault(label, len(seen)) for label in p[:drop] + p[drop + 1 :]])
 
 
 def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:

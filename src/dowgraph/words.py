@@ -69,7 +69,7 @@ class Dow:
             raise EmptyWordError("a word needs at least one letter")
         counts: dict[int, int] = {}
         for a in self.letters:
-            if not isinstance(a, int) or a < 1:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise BadTokenError(f"letters must be positive integers, got {a!r}")
             counts[a] = counts.get(a, 0) + 1
         for a, c in counts.items():
@@ -172,7 +172,8 @@ def parse(text: str) -> Dow:
     for token in re.split(r"[,\s]+", stripped):
         if not token:
             continue
-        if not token.isdigit() or int(token) < 1:
+        # str.isdigit alone admits digits such as "²" that int() refuses
+        if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise BadTokenError(f"bad letter token {token!r}")
         letters.append(int(token))
     return Dow(tuple(letters))

@@ -194,6 +194,14 @@ def test_bad_word_is_exit_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("word", ["1 ² 1 ²", "1²1²"])
+def test_non_ascii_digit_is_exit_one(capsys, word):
+    code, out, err = run_cli(capsys, "count", word)
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
 def test_usage_problems_are_exit_one(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])

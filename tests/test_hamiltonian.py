@@ -174,6 +174,28 @@ def test_count_is_reversal_invariant(word):
         dg.count_hamiltonian_sets(dg.build_graph(flipped))
 
 
+@given(dows(max_n=8))
+@settings(max_examples=25, deadline=None)
+def test_frontier_count_matches_mask_scan_and_brute_force(word):
+    g = dg.build_graph(word)
+    count = dg.count_hamiltonian_sets(g)
+    assert count == len(dg.enumerate_hamiltonian_sets(g))
+    assert count == len(dg.brute_force_hamiltonian_sets(g))
+
+
+@pytest.mark.parametrize("n,expected", [(12, 29401), (13, 70981), (14, 171364)])
+def test_count_on_interleaved_words(n, expected):
+    # 1 2 ... n 1 2 ... n keeps every letter open at once; values from the mask scan
+    g = dg.build_graph(dg.Dow(tuple(range(1, n + 1)) * 2))
+    assert dg.count_hamiltonian_sets(g) == expected
+
+
+def test_tangled_cord_attains_bound_up_to_sixty():
+    for n in range(1, 61):
+        g = dg.build_graph(dg.tangled_cord(n))
+        assert dg.count_hamiltonian_sets(g) == dg.fibonacci(2 * n + 1) - 1, n
+
+
 def test_enumeration_is_in_ascending_mask_order():
     g = dg.build_graph(dg.tangled_cord(3))
     masks = [dg.edge_mask(g, hs) for hs in dg.enumerate_hamiltonian_sets(g)]

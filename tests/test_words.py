@@ -48,6 +48,12 @@ def test_parse_rejects_garbage_token():
         dg.parse("1 2 x 1 2")
 
 
+@pytest.mark.parametrize("text", ["1 ² 1 ²", "1²1²", "١ ١", "١١"])
+def test_parse_rejects_non_ascii_digits(text):
+    with pytest.raises(dg.BadTokenError):
+        dg.parse(text)
+
+
 def test_parse_rejects_single_occurrence():
     with pytest.raises(dg.NotDoubleOccurrenceError):
         dg.parse("123")
@@ -60,6 +66,13 @@ def test_dow_constructor_validates():
         dg.Dow(())
     with pytest.raises(dg.BadTokenError):
         dg.Dow((0, 0))
+
+
+def test_dow_rejects_bool_letters():
+    with pytest.raises(dg.BadTokenError):
+        dg.Dow((True, True))
+    with pytest.raises(dg.BadTokenError):
+        dg.Dow((1, True, 1, True))
 
 
 @given(renamed_dows())

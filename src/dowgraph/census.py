@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import multiprocessing
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TextIO
@@ -146,15 +147,18 @@ def census_records(
 
     ``threads`` above one fans the classes out over worker processes in
     fixed chunks, and the chunked results are concatenated in order, so the
-    output is identical whatever the degree of parallelism.
+    output is identical whatever the degree of parallelism.  The pool never
+    has more workers than CPUs or chunks.
     """
     classes = enumerate_dow_classes(n, unsafe_large=unsafe_large)
     jobs = [w.letters for w in classes]
-    if threads <= 1:
+    # more workers than CPUs or chunks would only cost start-up time
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
         return [_record_from_word(letters, cross_check_limit) for letters in jobs]
-    size = max(1, (len(jobs) + threads * 8 - 1) // (threads * 8))
+    size = max(1, (len(jobs) + workers * 8 - 1) // (workers * 8))
     chunks = [jobs[k : k + size] for k in range(0, len(jobs), size)]
-    with multiprocessing.Pool(processes=threads) as pool:
+    with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
         parts = pool.map(_analyze_chunk, [(chunk, cross_check_limit) for chunk in chunks])
     return [record for part in parts for record in part]
 

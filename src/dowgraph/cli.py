@@ -159,21 +159,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     graph = build_graph(parse(" ".join(args.word)))
     sets = enumerate_hamiltonian_sets(graph)
+    # the sets come straight from the enumeration, so skip re-validating them
+    masks = [
+        mask_to_bits(edge_mask(graph, hs, check=False), graph.num_real_edges) for hs in sets
+    ]
     if args.format == "json":
         payload = [
-            {
-                "mask": mask_to_bits(edge_mask(graph, hs), graph.num_real_edges),
-                "paths": [list(p.vertices) for p in hs.sorted_paths()],
-            }
-            for hs in sets
+            {"mask": mask, "paths": [list(p.vertices) for p in hs.sorted_paths()]}
+            for mask, hs in zip(masks, sets)
         ]
         _emit(json.dumps(payload, indent=2), args.output)
     else:
-        lines = [
-            f"{mask_to_bits(edge_mask(graph, hs), graph.num_real_edges)}  "
-            f"{format_hamiltonian_set(hs)}"
-            for hs in sets
-        ]
+        lines = [f"{mask}  {format_hamiltonian_set(hs)}" for mask, hs in zip(masks, sets)]
         _emit("\n".join(lines), args.output)
     return 0
 

@@ -127,9 +127,13 @@ def is_hamiltonian_set(graph: AssemblyGraph, candidate: HamiltonianSet) -> bool:
     return seen == set(graph.vertices)
 
 
-def edge_mask(graph: AssemblyGraph, hamset: HamiltonianSet) -> int:
-    """Fingerprint a Hamiltonian set as its used-edge bitmask."""
-    if not is_hamiltonian_set(graph, hamset):
+def edge_mask(graph: AssemblyGraph, hamset: HamiltonianSet, *, check: bool = True) -> int:
+    """Fingerprint a Hamiltonian set as its used-edge bitmask.
+
+    ``check=False`` skips re-validating the set, for a caller that holds a
+    set :func:`enumerate_hamiltonian_sets` just decoded.
+    """
+    if check and not is_hamiltonian_set(graph, hamset):
         raise InvalidHamiltonianSetError("not a Hamiltonian set of this graph")
     mask = 0
     for path in hamset.paths:

@@ -9,6 +9,17 @@ non-maximal words: greedy extraction of a framing cord, the recursive
 even-split construction that the cord supports, and the minimal even split,
 whose projection is always a tangled cord.
 
+The parity test rests on one fact.  Deleted positions p_1 < p_2 < ...
+(1-based) leave only even pieces exactly when p_j = j (mod 2) for every j
+and their count is even.  :func:`even_split_witness` deepens by subset size
+and, within a size, picks letters in ascending label order.  Once
+``letters[:i]`` are decided, every position before the first occurrence of
+any undecided letter is fixed, so the deleted positions there are checked
+at once and a branch dies on the first one out of parity.  The search only
+ever visits deleted positions, and it assumes nothing about the shape of
+the answer, so the tangled-cord check on the minimal split stays a real
+check.
+
 Everything here re-verifies its own output and raises
 :class:`~dowgraph.errors.InternalCheckError` on any discrepancy, so a green
 run really is a machine check of the underlying identities.
@@ -18,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InternalCheckError, PreconditionViolatedError
 from .graphs import AssemblyGraph, build_graph
@@ -51,42 +61,101 @@ __all__ = [
 DEFAULT_CROSS_CHECK_LIMIT = 10
 
 
-def _gaps_all_even(positions: Sequence[int], total: int) -> bool:
-    # positions are the sorted occurrence slots of the deleted letters; the
-    # surviving runs are the gaps before, between, and after them
-    prev = 0
-    for p in positions:
-        if (p - prev - 1) % 2:
-            return False
-        prev = p
-    return (total - prev) % 2 == 0
+def _settle(
+    pending: Sequence[int], limit: int, want: int
+) -> tuple[int, Sequence[int]] | None:
+    # the sorted deleted positions in ``pending`` below ``limit`` have become
+    # fixed; each must have parity ``want``, which flips after every one.
+    # Returns the parity wanted next and the positions still pending, or None
+    # when a fixed position is out of parity.
+    k = 0
+    for p in pending:
+        if p >= limit:
+            break
+        if p & 1 != want:
+            return None
+        want ^= 1
+        k += 1
+    return want, pending[k:]
+
+
+def _first_split_of_size(
+    spots: Sequence[tuple[int, int]], bound: Sequence[int], size: int
+) -> list[int] | None:
+    # depth-first over the size-subsets of letter indices in lexicographic
+    # order.  A frame is [next index to try, letters still to pick, parity
+    # wanted next, deleted positions not yet fixed]; a frame below the top
+    # picked the index one before its own next index.
+    n = len(spots)
+    stack = [[0, size, 1, ()]]
+    while stack:
+        frame = stack[-1]
+        i, need, want, pending = frame
+        if i > n - need:
+            stack.pop()
+            continue
+        # leaving letters out up to i fixes every position below bound[i]
+        if pending and pending[0] < bound[i]:
+            settled = _settle(pending, bound[i], want)
+            if settled is None:
+                # leaving out more letters fixes the same positions
+                stack.pop()
+                continue
+            want, pending = settled
+            frame[2], frame[3] = want, pending
+        frame[0] = i + 1
+        merged = sorted((*pending, *spots[i])) if pending else spots[i]
+        # with the last pick made, every other letter is left out
+        settled = _settle(merged, bound[i + 1] if need > 1 else bound[n], want)
+        if settled is None:
+            continue
+        if need == 1:
+            return [f[0] - 1 for f in stack]
+        stack.append([i + 1, need - 1, *settled])
+    return None
 
 
 def even_split_witness(word: Dow) -> frozenset[int] | None:
     """Smallest letter subset whose deletion leaves only even pieces.
 
-    Scans proper non-empty subsets by ascending size, then lexicographically,
-    so the returned witness is deterministic.  None means every deletion
-    leaves some odd piece, which is exactly the bound-attaining case.
+    Among subsets of the smallest size that works, returns the first in
+    ``combinations(sorted(letters), size)`` order, so the witness is
+    deterministic.  None means every deletion leaves some odd piece, which
+    is exactly the bound-attaining case.  The search is the pruned one the
+    module docstring describes.
+
+    >>> even_split_witness(Dow((1, 1, 2, 2)))
+    frozenset({1})
+    >>> even_split_witness(Dow((1, 2, 1, 2))) is None
+    True
     """
-    occ = occurrences(word).pairs
-    letters = sorted(word.alphabet)
-    total = len(word.letters)
-    for size in range(1, len(letters)):
-        for sigma in combinations(letters, size):
-            positions = sorted(p for a in sigma for p in occ[a])
-            if _gaps_all_even(positions, total):
-                return frozenset(sigma)
+    pairs = occurrences(word).pairs
+    letters = sorted(pairs)
+    spots = [pairs[a] for a in letters]
+    n = len(letters)
+    # bound[i]: every position before it holds one of letters[:i]
+    bound = [len(word.letters) + 1] * (n + 1)
+    low = bound[n]
+    for i in range(n - 1, -1, -1):
+        if spots[i][0] < low:
+            low = spots[i][0]
+        bound[i] = low
+    for size in range(1, n):
+        picked = _first_split_of_size(spots, bound, size)
+        if picked is not None:
+            return frozenset(letters[i] for i in picked)
     return None
 
 
 def paired_endpoints_witness(graph: AssemblyGraph) -> int | None:
-    """Graph-side twin of :func:`even_split_witness`.
+    """Graph-side twin of :func:`even_split_witness`; a test oracle.
 
     Looks for up to n-1 pairwise non-consecutive transversal edges whose
     endpoint list mentions no vertex exactly once; such a selection can
     never be a union of vertex-disjoint polygonal paths.  Returns the first
-    witness in ascending mask order, or None.
+    witness in ascending mask order, or None.  It scans all F(2n+1) masks
+    without adjacent ones, so it serves only to cross-check the parity
+    verdict on small words.
     """
     n = graph.n
     for mask in nonconsecutive_masks(graph.num_real_edges):
@@ -325,7 +394,8 @@ def analyze(word: Dow, cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT) -> Ma
     canonical = canonicalize(word)
     n = canonical.n
     bound = fibonacci(2 * n + 1) - 1
-    witness = even_split_witness(canonical)
+    minimal = minimal_even_split(canonical)
+    split = None if minimal is None else EvenSplit(*minimal, is_tangled_cord=True)
     count = None
     if n <= cross_check_limit:
         count = count_hamiltonian_sets(build_graph(canonical))
@@ -335,23 +405,13 @@ def analyze(word: Dow, cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT) -> Ma
         raise InternalCheckError(
             f"cord extraction and composition split disagree on {render(canonical)}"
         )
-    split = None
-    if witness is not None:
-        projection = project(canonical, witness).to_dow()
-        if not is_tangled_cord(projection):
-            raise InternalCheckError(
-                f"minimal split of {render(canonical)} does not project to a cord"
-            )
-        split = EvenSplit(
-            sigma=witness, projection=projection, is_tangled_cord=True
-        )
     return MaximalityReport(
         word=canonical,
         n=n,
         count=count,
         bound=bound,
-        is_maximal=witness is None,
-        failing_sigma=witness,
+        is_maximal=split is None,
+        failing_sigma=None if split is None else split.sigma,
         is_composition=composition is not None,
         framing_cord=cord,
         minimal_even_split=split,

@@ -107,6 +107,40 @@ def test_worker_fanout_does_not_change_records():
         assert census_records(4, threads=threads) == serial
 
 
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cpus,threads,expected", [
+    (4, 2, 2),
+    (4, 10000, 4),
+    (64, 10000, 11),   # one chunk per class: n = 3 has 11 classes
+    (None, 10000, None),
+    (1, 10000, None),
+])
+def test_pool_size_is_bounded(monkeypatch, cpus, threads, expected):
+    serial = census_records(3, threads=1)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(dg.census.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(dg.census.os, "cpu_count", lambda: cpus)
+    assert census_records(3, threads=threads) == serial
+    assert _SerialPool.sizes == ([] if expected is None else [expected])
+
+
 def test_cross_check_limit_disables_counting():
     records = census_records(3, cross_check_limit=2)
     assert all(r.count is None for r in records)

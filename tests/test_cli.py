@@ -81,6 +81,24 @@ def test_enumerate_json_shape(capsys):
     assert json.loads(out) == [{"mask": "0", "paths": [[1]]}]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_masks_are_the_edge_masks(capsys, fmt):
+    word = "12132434"
+    graph = dg.build_graph(dg.parse(word))
+    expected = [
+        dg.mask_to_bits(dg.edge_mask(graph, hs), graph.num_real_edges)
+        for hs in dg.enumerate_hamiltonian_sets(graph)
+    ]
+    code, out, _ = run_cli(capsys, "enumerate", word, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        printed = [entry["mask"] for entry in json.loads(out)]
+    else:
+        printed = [line.split()[0] for line in out.splitlines()]
+    assert printed == expected
+    assert len(printed) == 33
+
+
 # ------------------------------------------------------------------- tc
 
 def test_tc_prints_the_word(capsys):

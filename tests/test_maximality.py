@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dowgraph as dg
 
@@ -27,9 +28,74 @@ def test_witness_examples(text, expected):
     assert got == (None if expected is None else frozenset(expected))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 61))
 def test_tangled_cords_have_no_witness(n):
     assert dg.even_split_witness(dg.tangled_cord(n)) is None
+
+
+def _gaps_all_even(positions, total):
+    prev = 0
+    for p in positions:
+        if (p - prev - 1) % 2:
+            return False
+        prev = p
+    return (total - prev) % 2 == 0
+
+
+def _scan_witness(word):
+    """Oracle: the plain scan that the pruned search replaced.
+
+    Tries every proper non-empty letter subset by ascending size, then in
+    ``combinations`` order, and tests the gaps around the deleted positions
+    directly, so a maximal word costs 2^n - 2 subset tests.
+    """
+    occ = dg.occurrences(word).pairs
+    letters = sorted(word.alphabet)
+    total = len(word.letters)
+    for size in range(1, len(letters)):
+        for sigma in combinations(letters, size):
+            positions = sorted(p for a in sigma for p in occ[a])
+            if _gaps_all_even(positions, total):
+                return frozenset(sigma)
+    return None
+
+
+def test_witness_matches_scan_on_every_small_word():
+    words = 0
+    for n in range(1, 7):
+        for word in dg.iter_canonical_words(n):
+            # the reversal meets its labels out of order, unlike the word
+            for variant in (word, dg.reverse_word(word)):
+                assert dg.even_split_witness(variant) == _scan_witness(variant), (
+                    dg.render(variant)
+                )
+            words += 1
+    assert words == 11464
+
+
+@given(renamed_dows(max_n=9), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_witness_matches_scan_on_relabelled_words(pair, reverse):
+    # labels out of first-occurrence order exercise the prefix bound
+    _, word = pair
+    if reverse:
+        word = dg.reverse_word(word)
+    assert dg.even_split_witness(word) == _scan_witness(word)
+
+
+def _cord_composition(a, b):
+    left = dg.tangled_cord(a).letters
+    return dg.Dow(left + tuple(x + a for x in dg.tangled_cord(b).letters))
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_composition_witness_is_the_smaller_cord(n):
+    for a in range(1, n // 2 + 1):
+        word = _cord_composition(a, n - a)
+        assert dg.even_split_witness(word) == frozenset(range(1, a + 1))
+    if n <= 19:
+        word = _cord_composition(n // 2, n - n // 2)
+        assert dg.even_split_witness(word) == _scan_witness(word)
 
 
 def _all_even_subsets(word):

@@ -8,15 +8,19 @@ itself; report it).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from typing import TextIO
 
 from .census import census_records, run_census, summarize_records, write_records_csv
 from .errors import InputError, InternalCheckError
 from .graphs import build_graph, to_dot
 from .hamiltonian import (
+    HamiltonianSet,
     count_hamiltonian_sets,
     edge_mask,
     enumerate_hamiltonian_sets,
@@ -33,6 +37,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_word_argument(sub: argparse.ArgumentParser) -> None:
@@ -86,7 +100,7 @@ def build_parser() -> _Parser:
     sub.add_argument("n", type=int)
     _add_format_argument(sub, ("text", "json", "csv"))
     _add_output_argument(sub)
-    sub.add_argument("--threads", type=int, default=1, metavar="K",
+    sub.add_argument("--threads", type=_positive_int, default=1, metavar="K",
                      help="worker processes for the per-class analysis")
     sub.add_argument("--cross-check-limit", type=int,
                      default=DEFAULT_CROSS_CHECK_LIMIT, metavar="N")
@@ -106,14 +120,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The ``--output`` file, opened for writing, or stdout without one."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with handle:
+        yield handle
+
+
 def _emit(text: str, output: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(output) as out:
+        out.write(text)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -156,22 +181,38 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_entry(mask: str, hamset: HamiltonianSet) -> str:
+    """One entry of the ``enumerate`` list, laid out as ``json.dumps(...,
+    indent=2)`` lays it out; masks are 0/1 strings and vertices integers,
+    so nothing needs escaping."""
+    paths = ",\n".join(
+        "      [\n        " + ",\n        ".join(map(str, p.vertices)) + "\n      ]"
+        for p in hamset.sorted_paths()
+    )
+    return f'  {{\n    "mask": "{mask}",\n    "paths": [\n{paths}\n    ]\n  }}'
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     graph = build_graph(parse(" ".join(args.word)))
-    sets = enumerate_hamiltonian_sets(graph)
-    # the sets come straight from the enumeration, so skip re-validating them
-    masks = [
-        mask_to_bits(edge_mask(graph, hs, check=False), graph.num_real_edges) for hs in sets
-    ]
-    if args.format == "json":
-        payload = [
-            {"mask": mask, "paths": [list(p.vertices) for p in hs.sorted_paths()]}
-            for mask, hs in zip(masks, sets)
-        ]
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = [f"{mask}  {format_hamiltonian_set(hs)}" for mask, hs in zip(masks, sets)]
-        _emit("\n".join(lines), args.output)
+
+    def mask_of(hs: HamiltonianSet) -> str:
+        # the sets come straight from the enumeration, so skip re-validating them
+        return mask_to_bits(edge_mask(graph, hs, check=False), graph.num_real_edges)
+
+    # each set is written as it is formatted; the JSON layout is exactly
+    # that of json.dumps(payload, indent=2), whose pure-Python encoder this
+    # avoids, and the list is never empty (the all-singletons set is in it)
+    with _output(args.output) as out:
+        sets = enumerate_hamiltonian_sets(graph)
+        if args.format == "json":
+            separator = "[\n"
+            for hs in sets:
+                out.write(separator + _json_entry(mask_of(hs), hs))
+                separator = ",\n"
+            out.write("\n]\n")
+        else:
+            for hs in sets:
+                out.write(f"{mask_of(hs)}  {format_hamiltonian_set(hs)}\n")
     return 0
 
 
@@ -272,7 +313,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): exit 1 quietly, and
+        # point stdout at devnull so the flush at interpreter exit cannot
+        # raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -14,10 +14,13 @@ fingerprint exactly when its edges contain no loop and no cycle.
 
 Counting runs a frontier dynamic programme over the edges, whose cost is set
 by the cut width of the word (how many letters are open at once) rather than
-by F(2n+1).  Enumeration scans the Fibonacci-many masks without adjacent ones
-and keeps those whose edges induce disjoint paths, checked with a tiny
-union-find; that scan, and the brute-force path search, are the oracles the
-count is tested against.
+by F(2n+1).  Enumeration is a depth-first search over the edges that joins
+paths as it takes edges and refuses every loop and cycle, so it visits only
+the Hamiltonian sets, in ascending fingerprint order.  The mask scan, which
+runs :func:`hamiltonian_set_from_mask` over the Fibonacci-many masks of
+:func:`nonconsecutive_masks`, is the decoder of a single fingerprint and,
+with the brute-force path search, the oracle both engines are tested
+against.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ def mask_to_bits(mask: int, num_edges: int) -> str:
     >>> mask_to_bits(0b10010, 5)
     '01001'
     """
-    return "".join("1" if mask >> k & 1 else "0" for k in range(num_edges))
+    # bin() of the low bits under a guard bit, reversed without '0b1'
+    return bin(mask & ((1 << num_edges) - 1) | 1 << num_edges)[:2:-1]
 
 
 def is_hamiltonian_set(graph: AssemblyGraph, candidate: HamiltonianSet) -> bool:
@@ -273,12 +277,57 @@ def _without(p: tuple[int, ...], drop: int) -> tuple[int, ...]:
 
 
 def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
-    """All Hamiltonian sets, in ascending fingerprint order."""
-    out = []
-    for mask in nonconsecutive_masks(graph.num_real_edges):
-        hamset = hamiltonian_set_from_mask(graph, mask)
-        if hamset is not None:
-            out.append(hamset)
+    """All Hamiltonian sets, in ascending fingerprint order.
+
+    A depth-first search decides the edges from e_(2n-1) down to e_1,
+    leaving each edge out before taking it, which visits the masks in
+    ascending order.  An edge is taken when the edge above it was not, it
+    is no loop, and its ends lie on different paths, so the leaves are
+    exactly the Hamiltonian sets.  Each path is kept as a PolygonalPath,
+    keyed by its lower endpoint slot, and ``end[s]`` is the other end of the
+    path that ends at slot ``s``; a take joins two paths and backtracking
+    splits them again.  The recursion is 2n - 1 calls deep.
+
+    >>> from dowgraph import build_graph, parse
+    >>> g = build_graph(parse("1212"))
+    >>> [mask_to_bits(edge_mask(g, hs), 3) for hs in enumerate_hamiltonian_sets(g)]
+    ['000', '100', '010', '001']
+    """
+    slots = graph.edge_slots
+    letters = graph.vertices
+    end = list(range(graph.n))
+    live = {s: PolygonalPath((v,), ()) for s, v in enumerate(letters)}
+    out: list[HamiltonianSet] = []
+
+    def decide(i: int, above_taken: bool) -> None:
+        # edges e_(i+1)..e_(2n-1) are decided; decide e_i
+        if i == 0:
+            out.append(HamiltonianSet(frozenset(live.values())))
+            return
+        decide(i - 1, False)
+        if above_taken:
+            return
+        u, v = slots[i - 1]
+        a, b = end[u], end[v]
+        if u == v or a == v:
+            return
+        # degree <= 2 keeps u and v path ends: join a..u with v..b
+        pa, pb = live.pop(min(a, u)), live.pop(min(b, v))
+        va, ea = pa.vertices, pa.edges
+        if va[-1] != letters[u]:
+            va, ea = va[::-1], ea[::-1]
+        vb, eb = pb.vertices, pb.edges
+        if vb[0] != letters[v]:
+            vb, eb = vb[::-1], eb[::-1]
+        key = min(a, b)
+        live[key] = PolygonalPath(va + vb, ea + (i,) + eb)
+        end[a], end[b] = b, a
+        decide(i - 1, True)
+        end[a], end[b] = u, v
+        del live[key]
+        live[min(a, u)], live[min(b, v)] = pa, pb
+
+    decide(graph.num_real_edges, False)
     return out
 
 
@@ -351,5 +400,5 @@ def brute_force_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
 def format_hamiltonian_set(hamset: HamiltonianSet) -> str:
     """Bracketed vertex runs, e.g. ``[1-2-3][4]``."""
     return "".join(
-        "[" + "-".join(str(v) for v in p.vertices) + "]" for p in hamset.sorted_paths()
+        "[" + "-".join(map(str, p.vertices)) + "]" for p in hamset.sorted_paths()
     )

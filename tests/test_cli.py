@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +102,39 @@ def test_enumerate_masks_are_the_edge_masks(capsys, fmt):
     assert len(printed) == 33
 
 
+def _old_enumerate_output(word, fmt):
+    """What ``enumerate`` printed when it built the whole payload first."""
+    graph = dg.build_graph(dg.parse(word))
+    sets = dg.enumerate_hamiltonian_sets(graph)
+    masks = [dg.mask_to_bits(dg.edge_mask(graph, hs), graph.num_real_edges) for hs in sets]
+    if fmt == "json":
+        payload = [
+            {"mask": mask, "paths": [list(p.vertices) for p in hs.sorted_paths()]}
+            for mask, hs in zip(masks, sets)
+        ]
+        return json.dumps(payload, indent=2) + "\n"
+    return "".join(f"{mask}  {dg.format_hamiltonian_set(hs)}\n" for mask, hs in zip(masks, sets))
+
+
+_WRITER_WORDS = (
+    [dg.render(w) for n in range(1, 5) for w in dg.enumerate_dow_classes(n)]
+    + [dg.render(dg.tangled_cord(6)), "7 3 9 7 12 3 9 5 12 40 5 2 40 2"]
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_writer_matches_the_payload_layout(capsys, tmp_path, fmt):
+    target = tmp_path / "sets.out"
+    for word in _WRITER_WORDS:
+        expected = _old_enumerate_output(word, fmt)
+        code, out, err = run_cli(capsys, "enumerate", *word.split(), "--format", fmt)
+        assert (code, out, err) == (0, expected, ""), word
+        code, out, _ = run_cli(capsys, "enumerate", *word.split(), "--format", fmt,
+                               "--output", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == expected.encode(), word
+
+
 # ------------------------------------------------------------------- tc
 
 def test_tc_prints_the_word(capsys):
@@ -157,6 +193,14 @@ def test_census_with_worker_processes(capsys):
     assert serial[0] == 0
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_census_rejects_fewer_than_one_thread(capsys, threads):
+    with pytest.raises(SystemExit) as info:
+        main(["census", "2", "--threads", threads])
+    assert info.value.code == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_census_size_guard_maps_to_exit_one(capsys):
     code, out, err = run_cli(capsys, "census", "9")
     assert code == 1
@@ -201,6 +245,43 @@ def test_output_flag_writes_a_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["word"] == "1212"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "1212"],
+    ["count", "11"],
+    ["enumerate", "1212"],
+    ["tc", "3"],
+    ["census", "2"],
+    ["framing", "1212"],
+    ["export-dot", "1212"],
+])
+def test_unwritable_output_is_exit_one(capsys, tmp_path, argv):
+    target = tmp_path / "no-such-directory" / "out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # 10,945 lines, far more than a pipe buffers, so the writer meets the
+    # closed pipe; this is `dowgraph enumerate ... | head -1`
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dg.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    word = dg.render(dg.tangled_cord(10))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dowgraph.cli", "enumerate", word],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first.startswith(b"0000000000000000000  [1][2]")
+    assert err == b""
 
 
 # ------------------------------------------------------------ exit codes

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dowgraph as dg
 from dowgraph.hamiltonian import alternating_mask, mask_to_bits, nonconsecutive_masks
 
-from conftest import dows
+from conftest import dows, renamed_dows
 
 
 # ------------------------------------------------------------ fibonacci
@@ -201,6 +202,46 @@ def test_enumeration_is_in_ascending_mask_order():
     masks = [dg.edge_mask(g, hs) for hs in dg.enumerate_hamiltonian_sets(g)]
     assert masks == sorted(masks)
     assert masks[0] == 0
+
+
+def _scan_sets(graph):
+    """Oracle for the enumeration: decode every mask without adjacent ones,
+    ascending, and keep the masks that are fingerprints."""
+    out = []
+    for mask in nonconsecutive_masks(graph.num_real_edges):
+        hamset = dg.hamiltonian_set_from_mask(graph, mask)
+        if hamset is not None:
+            out.append(hamset)
+    return out
+
+
+def test_enumeration_matches_scan_on_every_small_word():
+    words = 0
+    for n in range(1, 6):
+        for word in dg.iter_canonical_words(n):
+            # the reversal meets its labels out of order, unlike the word
+            for variant in (word, dg.reverse_word(word)):
+                g = dg.build_graph(variant)
+                assert dg.enumerate_hamiltonian_sets(g) == _scan_sets(g), dg.render(variant)
+            words += 1
+    assert words == 1069
+
+
+@given(renamed_dows(max_n=9), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_matches_scan_on_relabelled_words(pair, reverse):
+    _, word = pair
+    if reverse:
+        word = dg.reverse_word(word)
+    g = dg.build_graph(word)
+    assert dg.enumerate_hamiltonian_sets(g) == _scan_sets(g)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumeration_of_tangled_cord_attains_bound(n):
+    g = dg.build_graph(dg.tangled_cord(n))
+    sets = dg.enumerate_hamiltonian_sets(g)
+    assert len(sets) == dg.fibonacci(2 * n + 1) - 1 == dg.count_hamiltonian_sets(g)
 
 
 @given(dows())

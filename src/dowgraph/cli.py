@@ -16,7 +16,13 @@ import sys
 from collections.abc import Iterator, Sequence
 from typing import TextIO
 
-from .census import census_records, run_census, summarize_records, write_records_csv
+from .census import (
+    OFFENDERS_KEPT,
+    census_records,
+    run_census,
+    summarize_records,
+    write_records_csv,
+)
 from .errors import InputError, InternalCheckError
 from .graphs import build_graph, to_dot
 from .hamiltonian import (
@@ -245,16 +251,26 @@ def _cmd_census(args: argparse.Namespace) -> int:
             f"equivalence_failures: {summary.equivalence_failures}",
         ]
         _emit("\n".join(lines), args.output)
-    expected = (tangled_cord(args.n),)
+    cord = tangled_cord(args.n)
     if (
         summary.bound_violations
         or summary.equivalence_failures
-        or summary.maximal_classes != expected
+        or summary.maximal_classes != (cord,)
     ):
         print(
             "internal check failed: census verification did not come out clean",
             file=sys.stderr,
         )
+        unexpected = [w for w in summary.maximal_classes if w != cord]
+        missing = [] if cord in summary.maximal_classes else [cord]
+        for what, words in (
+            (f"{summary.bound_violations} bound violation(s)", summary.violating),
+            (f"{summary.equivalence_failures} count/parity disagreement(s)", summary.disagreeing),
+            (f"{len(unexpected)} unexpected maximal class(es)", unexpected[:OFFENDERS_KEPT]),
+            ("tangled cord not maximal", missing),
+        ):
+            if words:
+                print(f"  {what}: " + " ".join(render(w) for w in words), file=sys.stderr)
         return 2
     return 0
 

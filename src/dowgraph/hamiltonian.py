@@ -14,7 +14,8 @@ fingerprint exactly when its edges contain no loop and no cycle.
 
 Counting runs a frontier dynamic programme over the edges, whose cost is set
 by the cut width of the word (how many letters are open at once) rather than
-by F(2n+1).  Enumeration is a depth-first search over the edges that joins
+by F(2n+1).  Each of its steps depends only on the prefix read so far, so a
+batch of words shares the work along common prefixes.  Enumeration is a depth-first search over the edges that joins
 paths as it takes edges and refuses every loop and cycle, so it visits only
 the Hamiltonian sets, in ascending fingerprint order.  The mask scan, which
 runs :func:`hamiltonian_set_from_mask` over the Fibonacci-many masks of
@@ -26,6 +27,7 @@ against.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +37,7 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import AssemblyGraph, PolygonalPath, are_neighbors, is_polygonal
+from .words import Dow
 
 __all__ = [
     "HamiltonianSet",
@@ -46,6 +49,7 @@ __all__ = [
     "hamiltonian_set_from_mask",
     "is_hamiltonian_set",
     "count_hamiltonian_sets",
+    "count_words",
     "enumerate_hamiltonian_sets",
     "brute_force_hamiltonian_sets",
     "format_hamiltonian_set",
@@ -224,8 +228,25 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> HamiltonianSet
     return HamiltonianSet(frozenset(paths))
 
 
+# the counting programme after a prefix: open letters, states, last letter closes
+_Programme = tuple[tuple[int, ...], dict[tuple[int, ...], list[int]], bool]
+
+
 def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
     """How many Hamiltonian sets the graph has.
+
+    The one-word case of :func:`count_words`, which holds the counting
+    programme.
+
+    >>> from dowgraph import build_graph, tangled_cord
+    >>> count_hamiltonian_sets(build_graph(tangled_cord(5)))
+    88
+    """
+    return count_words([graph.word])[0]
+
+
+def count_words(words: Iterable[Dow]) -> list[int]:
+    """The Hamiltonian-set counts of the words' assembly graphs, in order.
 
     A frontier dynamic programme over the edges e_1..e_(2n-1), left to
     right.  A letter is open from its first occurrence until the last edge
@@ -238,35 +259,77 @@ def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
     edges induce disjoint paths.  The number of states is set by how many
     letters are open at once, not by F_(2n+1); the bound F_(2n+1) - 1 is
     never reached because the alternating mask always closes a cycle.
+
+    Each step needs only the prefix read so far (a letter closes when it
+    was seen before), so the words share work along common prefixes: the
+    programme keeps one state per prefix position that the next word
+    shares, pops back to it, and extends only the rest.  Words in sorted
+    order share the most; any order gives the same counts.
+
+    >>> from dowgraph import parse
+    >>> count_words([parse("11"), parse("1122"), parse("1212"), parse("11")])
+    [1, 2, 4, 1]
     """
-    w = graph.word.letters
-    last = {a: k for k, a in enumerate(w)}
-    frontier = [w[0]]
-    # partition of the open letters -> [count, last edge free; count, last edge taken]
-    states: dict[tuple[int, ...], list[int]] = {(0,): [1, 0]}
-    for k in range(1, len(w)):
-        a, b = w[k - 1], w[k]
-        if b not in frontier:
-            frontier.append(b)
-            states = {p + (max(p) + 1,): c for p, c in states.items()}
-        x, y = frontier.index(a), frontier.index(b)
-        drop = x if last[a] == k - 1 else -1
-        if drop >= 0:
-            del frontier[drop]
-        nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
-        for p, (free, taken) in states.items():
-            nxt[p if drop < 0 else _without(p, drop)][0] += free + taken
-            # a loop has both ends in one slot, so it fails lo != hi too
-            lo, hi = p[x], p[y]
-            if free and lo != hi:
-                if lo > hi:
-                    lo, hi = hi, lo
-                # hi's first appearance follows lo's, so folding hi into lo
-                # keeps the first-appearance order of every other label
-                q = tuple([lo if label == hi else label - (label > hi) for label in p])
-                nxt[q if drop < 0 else _without(q, drop)][1] += free
-        states = nxt
-    return sum(free + taken for free, taken in states.values())
+    letters = [word.letters for word in words]
+    counts: list[int] = []
+    # stack[k] is the programme after w[0..k], kept while the next word
+    # shares that prefix: the open letters, the states (partition of the open
+    # letters -> [count, last edge free; count, last edge taken]) and whether
+    # w[k] closes its letter
+    stack: list[_Programme] = []
+    for i, w in enumerate(letters):
+        share = _common_prefix(w, letters[i + 1]) if i + 1 < len(letters) else 0
+        entry = stack[-1] if stack else None
+        for k in range(len(stack), len(w)):
+            entry = ((w[0],), {(0,): [1, 0]}, False) if k == 0 else _step(*entry, w[k - 1], w[k])
+            if k < share:
+                stack.append(entry)
+        counts.append(sum(free + taken for free, taken in entry[1].values()))
+        del stack[share:]
+    return counts
+
+
+def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    for k, (a, b) in enumerate(zip(u, v)):
+        if a != b:
+            return k
+    return min(len(u), len(v))
+
+
+def _step(
+    frontier: tuple[int, ...],
+    states: dict[tuple[int, ...], list[int]],
+    a_closes: bool,
+    a: int,
+    b: int,
+) -> _Programme:
+    """Decide the edge (a, b) that follows a prefix ending in ``a``.
+
+    ``a_closes`` says the prefix's last letter is a second occurrence, so it
+    leaves the frontier after this edge.  Returns the new frontier, states
+    and whether ``b`` closes.
+    """
+    b_closes = b in frontier
+    if not b_closes:
+        frontier += (b,)
+        states = {p + (max(p) + 1,): c for p, c in states.items()}
+    x, y = frontier.index(a), frontier.index(b)
+    drop = x if a_closes else -1
+    if drop >= 0:
+        frontier = frontier[:drop] + frontier[drop + 1 :]
+    nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
+    for p, (free, taken) in states.items():
+        nxt[p if drop < 0 else _without(p, drop)][0] += free + taken
+        # a loop has both ends in one slot, so it fails lo != hi too
+        lo, hi = p[x], p[y]
+        if free and lo != hi:
+            if lo > hi:
+                lo, hi = hi, lo
+            # hi's first appearance follows lo's, so folding hi into lo
+            # keeps the first-appearance order of every other label
+            q = tuple([lo if label == hi else label - (label > hi) for label in p])
+            nxt[q if drop < 0 else _without(q, drop)][1] += free
+    return frontier, nxt, b_closes
 
 
 def _without(p: tuple[int, ...], drop: int) -> tuple[int, ...]:

@@ -206,19 +206,22 @@ def occurrences(word: Dow) -> OccurrenceIndex:
     return OccurrenceIndex(pairs)
 
 
+def _first_occurrence_labels(letters: Sequence[int]) -> tuple[int, ...]:
+    """Relabel a letter sequence so that first occurrences read 1, 2, 3, ..."""
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(a, len(relabel) + 1) for a in letters])
+
+
 def canonicalize(word: Dow) -> Dow:
     """Rename letters so that first occurrences read 1, 2, 3, ...
+
+    A word that is already canonical comes back as itself.
 
     >>> render(canonicalize(parse("7373")))
     '1212'
     """
-    relabel: dict[int, int] = {}
-    out = []
-    for a in word.letters:
-        if a not in relabel:
-            relabel[a] = len(relabel) + 1
-        out.append(relabel[a])
-    return Dow(tuple(out))
+    letters = _first_occurrence_labels(word.letters)
+    return word if letters == word.letters else Dow(letters)
 
 
 def reverse_word(word: Dow) -> Dow:
@@ -229,14 +232,16 @@ def class_representative(word: Dow) -> Dow:
     """The smaller of the canonical forms of the word and its reversal.
 
     Constant on equivalence classes, so two words are equivalent exactly when
-    their representatives are equal.
+    their representatives are equal.  A word that is its own representative
+    comes back as itself.
 
     >>> render(class_representative(parse("2121")))
     '1212'
     """
-    forward = canonicalize(word)
-    backward = canonicalize(reverse_word(word))
-    return forward if forward.letters <= backward.letters else backward
+    forward = _first_occurrence_labels(word.letters)
+    backward = _first_occurrence_labels(word.letters[::-1])
+    best = min(forward, backward)
+    return word if best == word.letters else Dow(best)
 
 
 def delete_letters(letters: Sequence[int], sigma: Iterable[int]) -> SubwordSplit:

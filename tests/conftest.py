@@ -11,6 +11,21 @@ from hypothesis import strategies as st
 import dowgraph as dg
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-slow", action="store_true", default=False, help="also run the tests marked slow"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @st.composite
 def dows(draw, min_n: int = 1, max_n: int = 5):
     """A random double occurrence word with canonical letters 1..n."""

@@ -101,6 +101,12 @@ def test_records_for_two_letters(census_by_n):
     assert all(r.has_framing_cord != r.is_composition for r in records)
 
 
+def test_batch_counts_match_per_word_counts(census_by_n):
+    for n in range(1, 7):
+        for r in census_by_n[n].records:
+            assert r.count == dg.count_hamiltonian_sets(dg.build_graph(r.representative))
+
+
 def test_worker_fanout_does_not_change_records():
     serial = census_records(4, threads=1)
     for threads in (2, 5):
@@ -219,3 +225,16 @@ def test_csv_leaves_skipped_counts_blank():
     write_records_csv(records, buffer)
     rows = list(csv.reader(io.StringIO(buffer.getvalue())))
     assert [row[1] for row in rows[1:]] == ["", "", ""]
+
+
+# ------------------------------------------------------------ slow: n = 7
+
+@pytest.mark.slow
+def test_census_seven_reverifies_the_paper():
+    records = census_records(7, threads=2)
+    summary = summarize_records(7, records)
+    assert summary.total_classes == len(records) == _class_count(7) == 68219
+    assert summary.bound_violations == 0
+    assert summary.equivalence_failures == 0
+    assert all(r.count is not None for r in records)
+    assert summary.maximal_classes == (dg.tangled_cord(7),)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -191,6 +193,67 @@ def test_census_with_worker_processes(capsys):
     fanned = run_cli(capsys, "census", "3", "--format", "csv", "--threads", "2")
     assert serial == fanned
     assert serial[0] == 0
+
+
+def _doctored_census(monkeypatch, doctor):
+    """Make ``census 3`` see its real records with ``doctor`` applied."""
+    records = doctor(list(dg.census_records(3)))
+    monkeypatch.setattr("dowgraph.cli.census_records", lambda *args, **kwargs: records)
+    return records
+
+
+CENSUS_3_TEXT = (
+    "n: 3\nclasses: 11\nmaximal: 121323\nbound_violations: 0\nequivalence_failures: 0\n"
+)
+
+
+def test_clean_census_names_no_words(capsys, monkeypatch):
+    _doctored_census(monkeypatch, lambda records: records)
+    assert run_cli(capsys, "census", "3") == (0, CENSUS_3_TEXT, "")
+
+
+def test_failed_census_names_the_offending_words(capsys, monkeypatch):
+    def doctor(records):
+        by_word = {dg.render(r.representative): k for k, r in enumerate(records)}
+        over, odd = by_word["121332"], by_word["123123"]
+        # one count above the bound, one non-composition class called maximal
+        records[over] = replace(records[over], count=records[over].bound + 1)
+        records[odd] = replace(records[odd], is_maximal=True)
+        return records
+
+    records = _doctored_census(monkeypatch, doctor)
+    code, out, err = run_cli(capsys, "census", "3", "--format", "csv")
+    assert code == 2
+    buffer = io.StringIO()
+    dg.write_records_csv(records, buffer)
+    assert out == buffer.getvalue()
+    assert err.splitlines() == [
+        "internal check failed: census verification did not come out clean",
+        "  1 bound violation(s): 121332",
+        "  1 count/parity disagreement(s): 123123",
+        "  1 unexpected maximal class(es): 123123",
+    ]
+
+
+def test_failed_census_names_a_missing_tangled_cord(capsys, monkeypatch):
+    def doctor(records):
+        return [replace(r, count=None, is_maximal=False) for r in records]
+
+    _doctored_census(monkeypatch, doctor)
+    code, out, err = run_cli(capsys, "census", "3")
+    assert code == 2
+    assert out == CENSUS_3_TEXT.replace("maximal: 121323", "maximal: ")
+    assert err.splitlines()[1:] == ["  tangled cord not maximal: 121323"]
+
+
+def test_failed_census_keeps_the_first_few_of_many(capsys, monkeypatch):
+    _doctored_census(monkeypatch, lambda records: [replace(r, count=r.bound + 1) for r in records])
+    code, _, err = run_cli(capsys, "census", "3")
+    assert code == 2
+    violations = err.splitlines()[1].split(": ")
+    assert violations[0] == "  11 bound violation(s)"
+    words = [dg.render(w) for w in dg.enumerate_dow_classes(3)]
+    assert violations[1].split() == words[: dg.census.OFFENDERS_KEPT]
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -184,6 +184,35 @@ def test_frontier_count_matches_mask_scan_and_brute_force(word):
     assert count == len(dg.brute_force_hamiltonian_sets(g))
 
 
+@st.composite
+def word_lists(draw):
+    """Unsorted words with mixed n <= 8, including a word right before a
+    longer word it is a prefix of, and a repeat."""
+    words = draw(st.lists(dows(max_n=8), max_size=6))
+    base = draw(dows(max_n=7))
+    tail = draw(dows(max_n=8 - base.n))
+    longer = dg.Dow(base.letters + tuple(a + base.n for a in tail.letters))
+    at = draw(st.integers(min_value=0, max_value=len(words)))
+    words[at:at] = [base, longer]
+    words.insert(draw(st.integers(min_value=0, max_value=len(words))), draw(st.sampled_from(words)))
+    return words
+
+
+@given(word_lists())
+@settings(max_examples=50, deadline=None)
+def test_batch_count_matches_per_word_counts(words):
+    expected = [dg.count_hamiltonian_sets(dg.build_graph(w)) for w in words]
+    assert dg.count_words(words) == expected
+
+
+def test_batch_count_through_shared_and_repeated_prefixes():
+    texts = ["11", "1122", "11", "1122", "1122", "112233", "1212", "11", "121323", "1212"]
+    words = [dg.parse(t) for t in texts]
+    assert dg.count_words(words) == [1, 2, 1, 2, 2, 4, 4, 1, 12, 4]
+    assert dg.count_words(reversed(words)) == [4, 12, 1, 4, 4, 2, 2, 1, 2, 1]
+    assert dg.count_words([]) == []
+
+
 @pytest.mark.parametrize("n,expected", [(12, 29401), (13, 70981), (14, 171364)])
 def test_count_on_interleaved_words(n, expected):
     # 1 2 ... n 1 2 ... n keeps every letter open at once; values from the mask scan

@@ -151,6 +151,42 @@ def test_class_representative_constant_on_classes(pair):
     assert rep.letters <= dg.canonicalize(original).letters
 
 
+def _old_canonicalize(word):
+    """Oracle: the plain relabelling, one validated Dow per call."""
+    relabel = {}
+    out = []
+    for a in word.letters:
+        if a not in relabel:
+            relabel[a] = len(relabel) + 1
+        out.append(relabel[a])
+    return dg.Dow(tuple(out))
+
+
+def _old_class_representative(word):
+    """Oracle: the smaller canonical form of the word and its reversal."""
+    forward = _old_canonicalize(word)
+    backward = _old_canonicalize(dg.Dow(word.letters[::-1]))
+    return forward if forward.letters <= backward.letters else backward
+
+
+@given(renamed_dows(max_n=8), st.booleans())
+@settings(max_examples=100)
+def test_canonical_forms_match_their_plain_definitions(pair, reverse):
+    for word in pair:
+        if reverse:
+            word = dg.reverse_word(word)
+        for fn, oracle in (
+            (dg.canonicalize, _old_canonicalize),
+            (dg.class_representative, _old_class_representative),
+        ):
+            got = fn(word)
+            assert type(got) is dg.Dow
+            assert got == oracle(word)
+            # a word already in the target form comes back as itself
+            assert (got is word) == (got.letters == word.letters)
+            assert fn(got) is got
+
+
 # ---------------------------------------------------- deletion/projection
 
 WORKED_WORD = "1342134856757286"

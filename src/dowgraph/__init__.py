@@ -1,156 +1,22 @@
 """Double occurrence words, their assembly graphs, and exact enumeration of
-Hamiltonian sets of polygonal paths, with an exhaustive small-n census."""
+Hamiltonian sets of polygonal paths, with an exhaustive small-n census.
 
-from .census import (
-    CENSUS_LIMIT,
-    CensusRecord,
-    CensusSummary,
-    census_records,
-    enumerate_dow_classes,
-    iter_canonical_words,
-    run_census,
-    summarize_records,
-    write_records_csv,
-)
-from .errors import (
-    BadTokenError,
-    ConsecutiveEdgesError,
-    EmptyWordError,
-    InputError,
-    InternalCheckError,
-    InvalidHamiltonianSetError,
-    NotDoubleOccurrenceError,
-    NotIncidentError,
-    PreconditionViolatedError,
-    SigmaEmptyError,
-    TooLargeError,
-)
-from .graphs import (
-    AssemblyGraph,
-    PolygonalPath,
-    are_neighbors,
-    build_graph,
-    is_polygonal,
-    to_dot,
-)
-from .hamiltonian import (
-    BRUTE_FORCE_LIMIT,
-    HamiltonianSet,
-    alternating_mask,
-    brute_force_hamiltonian_sets,
-    count_hamiltonian_sets,
-    count_words,
-    edge_mask,
-    enumerate_hamiltonian_sets,
-    fibonacci,
-    format_hamiltonian_set,
-    hamiltonian_set_from_mask,
-    is_hamiltonian_set,
-    mask_to_bits,
-    nonconsecutive_masks,
-)
-from .maximality import (
-    DEFAULT_CROSS_CHECK_LIMIT,
-    EvenSplit,
-    MaximalityReport,
-    analyze,
-    cord_pattern,
-    even_split_from_cord,
-    even_split_witness,
-    find_framing_cord,
-    is_framing_cord,
-    minimal_even_split,
-    paired_endpoints_witness,
-)
-from .words import (
-    Dow,
-    OccurrenceIndex,
-    Projection,
-    Segment,
-    SubwordSplit,
-    canonicalize,
-    class_representative,
-    delete,
-    delete_letters,
-    is_tangled_cord,
-    occurrences,
-    parse,
-    project,
-    render,
-    reverse_word,
-    split_composition,
-    tangled_cord,
-)
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all.
+"""
+
+from . import census, errors, graphs, hamiltonian, maximality, words
+from .census import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .hamiltonian import *  # noqa: F403
+from .maximality import *  # noqa: F403
+from .words import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyGraph",
-    "BRUTE_FORCE_LIMIT",
-    "BadTokenError",
-    "CENSUS_LIMIT",
-    "CensusRecord",
-    "CensusSummary",
-    "ConsecutiveEdgesError",
-    "DEFAULT_CROSS_CHECK_LIMIT",
-    "Dow",
-    "EmptyWordError",
-    "EvenSplit",
-    "HamiltonianSet",
-    "InputError",
-    "InternalCheckError",
-    "InvalidHamiltonianSetError",
-    "MaximalityReport",
-    "NotDoubleOccurrenceError",
-    "NotIncidentError",
-    "OccurrenceIndex",
-    "PolygonalPath",
-    "PreconditionViolatedError",
-    "Projection",
-    "Segment",
-    "SigmaEmptyError",
-    "SubwordSplit",
-    "TooLargeError",
-    "alternating_mask",
-    "analyze",
-    "are_neighbors",
-    "brute_force_hamiltonian_sets",
-    "build_graph",
-    "canonicalize",
-    "census_records",
-    "class_representative",
-    "cord_pattern",
-    "count_hamiltonian_sets",
-    "count_words",
-    "delete",
-    "delete_letters",
-    "edge_mask",
-    "enumerate_dow_classes",
-    "enumerate_hamiltonian_sets",
-    "even_split_from_cord",
-    "even_split_witness",
-    "fibonacci",
-    "find_framing_cord",
-    "format_hamiltonian_set",
-    "hamiltonian_set_from_mask",
-    "is_framing_cord",
-    "is_hamiltonian_set",
-    "is_polygonal",
-    "is_tangled_cord",
-    "iter_canonical_words",
-    "mask_to_bits",
-    "minimal_even_split",
-    "nonconsecutive_masks",
-    "occurrences",
-    "paired_endpoints_witness",
-    "parse",
-    "project",
-    "render",
-    "reverse_word",
-    "run_census",
-    "split_composition",
-    "summarize_records",
-    "tangled_cord",
-    "to_dot",
-    "write_records_csv",
+    name
+    for module in (census, errors, graphs, hamiltonian, maximality, words)
+    for name in module.__all__
 ]

@@ -12,12 +12,14 @@ enumerated count, the single bound-attaining class is the tangled cord,
 compositions are never maximal, and framing cords exist exactly off the
 compositions.
 
-The classes come out sorted, so neighbours share long prefixes.  Each run of
-classes (the whole list in one process, or one chunk per worker task) is
-counted by one batch of :func:`~dowgraph.hamiltonian.count_words`, whose
-frontier programme extends each class only past the prefix it shares with
-the previous one: at n = 6 that is 15,545 programme steps instead of 58,993
-for a fresh count per class.  Every other field of a record comes from
+Every class is counted: the bound check and the count/parity check cover the
+whole census, never a part of it.  The classes come out sorted, so
+neighbours share long prefixes.  Each run of classes (the whole list in one
+process, or one chunk per worker task) is counted by one batch of
+:func:`~dowgraph.hamiltonian.count_words`, whose frontier programme extends
+each class only past the prefix it shares with the previous one: at n = 6
+that is 15,545 programme steps instead of 58,993 for a fresh count per
+class.  Every other field of a record comes from
 :func:`~dowgraph.maximality.analyze` with counting switched off.
 """
 
@@ -32,7 +34,7 @@ from typing import TextIO
 
 from .errors import InputError, InternalCheckError, TooLargeError
 from .hamiltonian import count_words
-from .maximality import DEFAULT_CROSS_CHECK_LIMIT, analyze
+from .maximality import analyze
 from .words import Dow, class_representative, render
 
 __all__ = [
@@ -58,7 +60,7 @@ class CensusRecord:
     """One class representative with its headline numbers."""
 
     representative: Dow
-    count: int | None
+    count: int
     bound: int
     is_maximal: bool
     is_composition: bool
@@ -137,18 +139,16 @@ def enumerate_dow_classes(n: int, unsafe_large: bool = False) -> list[Dow]:
     return reps
 
 
-def _analyze_chunk(job: tuple[list[tuple[int, ...]], int]) -> list[CensusRecord]:
+def _analyze_chunk(chunk: list[tuple[int, ...]]) -> list[CensusRecord]:
     """Records for a run of classes, all with the same n, in order.
 
     The counts come from one batch of the counting programme, which shares
     the work along the common prefixes of the sorted classes; every other
     field comes from :func:`analyze`.
     """
-    chunk, limit = job
     words = [Dow(letters) for letters in chunk]
-    counts = count_words(words) if words[0].n <= limit else [None] * len(words)
     records = []
-    for word, count in zip(words, counts):
+    for word, count in zip(words, count_words(words)):
         report = analyze(word, cross_check_limit=0)
         records.append(
             CensusRecord(
@@ -163,12 +163,7 @@ def _analyze_chunk(job: tuple[list[tuple[int, ...]], int]) -> list[CensusRecord]
     return records
 
 
-def census_records(
-    n: int,
-    threads: int = 1,
-    cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT,
-    unsafe_large: bool = False,
-) -> list[CensusRecord]:
+def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list[CensusRecord]:
     """Analyze every class; record order always matches the class order.
 
     ``threads`` above one fans the classes out over worker processes in
@@ -181,11 +176,11 @@ def census_records(
     # more workers than CPUs or chunks would only cost start-up time
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _analyze_chunk((jobs, cross_check_limit))
+        return _analyze_chunk(jobs)
     size = max(1, (len(jobs) + workers * 8 - 1) // (workers * 8))
     chunks = [jobs[k : k + size] for k in range(0, len(jobs), size)]
     with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
-        parts = pool.map(_analyze_chunk, [(chunk, cross_check_limit) for chunk in chunks])
+        parts = pool.map(_analyze_chunk, chunks)
     return [record for part in parts for record in part]
 
 
@@ -211,9 +206,8 @@ def summarize_records(n: int, records: list[CensusRecord]) -> CensusSummary:
     maximal = tuple(
         sorted((r.representative for r in records if r.is_maximal), key=lambda w: w.letters)
     )
-    counted = [r for r in records if r.count is not None]
-    violating = [r.representative for r in counted if r.count > r.bound]
-    disagreeing = [r.representative for r in counted if (r.count == r.bound) != r.is_maximal]
+    violating = [r.representative for r in records if r.count > r.bound]
+    disagreeing = [r.representative for r in records if (r.count == r.bound) != r.is_maximal]
     return CensusSummary(
         n=n,
         total_classes=len(records),
@@ -225,15 +219,8 @@ def summarize_records(n: int, records: list[CensusRecord]) -> CensusSummary:
     )
 
 
-def run_census(
-    n: int,
-    threads: int = 1,
-    cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT,
-    unsafe_large: bool = False,
-) -> CensusSummary:
-    records = census_records(
-        n, threads=threads, cross_check_limit=cross_check_limit, unsafe_large=unsafe_large
-    )
+def run_census(n: int, threads: int = 1, unsafe_large: bool = False) -> CensusSummary:
+    records = census_records(n, threads=threads, unsafe_large=unsafe_large)
     return summarize_records(n, records)
 
 
@@ -247,7 +234,7 @@ def write_records_csv(records: list[CensusRecord], stream: TextIO) -> None:
         writer.writerow(
             [
                 render(r.representative),
-                "" if r.count is None else r.count,
+                r.count,
                 r.bound,
                 str(r.is_maximal).lower(),
                 str(r.is_composition).lower(),

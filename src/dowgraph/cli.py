@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
 import sys
@@ -19,7 +18,6 @@ from typing import TextIO
 from .census import (
     OFFENDERS_KEPT,
     census_records,
-    run_census,
     summarize_records,
     write_records_csv,
 )
@@ -108,8 +106,6 @@ def build_parser() -> _Parser:
     _add_output_argument(sub)
     sub.add_argument("--threads", type=_positive_int, default=1, metavar="K",
                      help="worker processes for the per-class analysis")
-    sub.add_argument("--cross-check-limit", type=int,
-                     default=DEFAULT_CROSS_CHECK_LIMIT, metavar="N")
     sub.add_argument("--unsafe-large", action="store_true",
                      help="waive the census size guard")
 
@@ -229,17 +225,11 @@ def _cmd_tc(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    records = census_records(
-        args.n,
-        threads=args.threads,
-        cross_check_limit=args.cross_check_limit,
-        unsafe_large=args.unsafe_large,
-    )
+    records = census_records(args.n, threads=args.threads, unsafe_large=args.unsafe_large)
     summary = summarize_records(args.n, records)
     if args.format == "csv":
-        buffer = io.StringIO()
-        write_records_csv(records, buffer)
-        _emit(buffer.getvalue(), args.output)
+        with _output(args.output) as out:
+            write_records_csv(records, out)
     elif args.format == "json":
         _emit(json.dumps(summary.to_json_dict(), indent=2), args.output)
     else:
@@ -278,24 +268,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_framing(args: argparse.Namespace) -> int:
     word = parse(" ".join(args.word))
     cord = find_framing_cord(word)
-    if args.format == "json":
-        payload: dict = {"word": render(word)}
-        if cord is None:
-            left, right = split_composition(word)
-            payload["framing_cord"] = None
-            payload["composition"] = [render(left), render(right)]
-        else:
-            payload["framing_cord"] = list(cord)
-        _emit(json.dumps(payload, indent=2), args.output)
+    if cord is None:
+        left, right = (render(part) for part in split_composition(word))
+        text = f"no framing cord: the word splits as ({left})({right})"
+        payload = {"word": render(word), "framing_cord": None, "composition": [left, right]}
     else:
-        if cord is None:
-            left, right = split_composition(word)
-            _emit(
-                f"no framing cord: the word splits as ({render(left)})({render(right)})",
-                args.output,
-            )
-        else:
-            _emit(" ".join(str(a) for a in cord), args.output)
+        text = " ".join(str(a) for a in cord)
+        payload = {"word": render(word), "framing_cord": list(cord)}
+    _emit(json.dumps(payload, indent=2) if args.format == "json" else text, args.output)
     return 0
 
 

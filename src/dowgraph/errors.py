@@ -8,6 +8,20 @@ never a user error, and the command line maps it to a distinct exit code.
 
 from __future__ import annotations
 
+__all__ = [
+    "InputError",
+    "EmptyWordError",
+    "BadTokenError",
+    "NotDoubleOccurrenceError",
+    "SigmaEmptyError",
+    "NotIncidentError",
+    "InvalidHamiltonianSetError",
+    "ConsecutiveEdgesError",
+    "PreconditionViolatedError",
+    "TooLargeError",
+    "InternalCheckError",
+]
+
 
 class InputError(ValueError):
     """Base class for all rejections of caller-supplied data."""

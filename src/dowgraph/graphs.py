@@ -132,9 +132,6 @@ class PolygonalPath:
             object.__setattr__(self, "vertices", flipped[0])
             object.__setattr__(self, "edges", flipped[1])
 
-    def is_singleton(self) -> bool:
-        return len(self.vertices) == 1
-
 
 def is_polygonal(graph: AssemblyGraph, path: PolygonalPath) -> bool:
     """Check a path against the graph: distinct vertices, real incident

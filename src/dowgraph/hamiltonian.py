@@ -15,9 +15,11 @@ fingerprint exactly when its edges contain no loop and no cycle.
 Counting runs a frontier dynamic programme over the edges, whose cost is set
 by the cut width of the word (how many letters are open at once) rather than
 by F(2n+1).  Each of its steps depends only on the prefix read so far, so a
-batch of words shares the work along common prefixes.  Enumeration is a depth-first search over the edges that joins
-paths as it takes edges and refuses every loop and cycle, so it visits only
-the Hamiltonian sets, in ascending fingerprint order.  The mask scan, which
+batch of words shares the work along common prefixes.
+
+Enumeration is a depth-first search over the edges that joins paths as it
+takes edges and refuses every loop and cycle, so it visits only the
+Hamiltonian sets, in ascending fingerprint order.  The mask scan, which
 runs :func:`hamiltonian_set_from_mask` over the Fibonacci-many masks of
 :func:`nonconsecutive_masks`, is the decoder of a single fingerprint and,
 with the brute-force path search, the oracle both engines are tested
@@ -40,6 +42,7 @@ from .graphs import AssemblyGraph, PolygonalPath, are_neighbors, is_polygonal
 from .words import Dow
 
 __all__ = [
+    "BRUTE_FORCE_LIMIT",
     "HamiltonianSet",
     "fibonacci",
     "nonconsecutive_masks",

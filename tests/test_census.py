@@ -147,15 +147,6 @@ def test_pool_size_is_bounded(monkeypatch, cpus, threads, expected):
     assert _SerialPool.sizes == ([] if expected is None else [expected])
 
 
-def test_cross_check_limit_disables_counting():
-    records = census_records(3, cross_check_limit=2)
-    assert all(r.count is None for r in records)
-    summary = summarize_records(3, records)
-    assert summary.bound_violations == 0
-    assert summary.equivalence_failures == 0
-    assert summary.total_classes == 11
-
-
 # --------------------------------------------------------------- summary
 
 def test_run_census_three_letters():
@@ -217,14 +208,6 @@ def test_csv_writer_roundtrip(census_by_n):
     ]
     assert rows[1] == ["1122", "2", "4", "false", "true", "false"]
     assert len(rows) == 4
-
-
-def test_csv_leaves_skipped_counts_blank():
-    records = census_records(2, cross_check_limit=1)
-    buffer = io.StringIO()
-    write_records_csv(records, buffer)
-    rows = list(csv.reader(io.StringIO(buffer.getvalue())))
-    assert [row[1] for row in rows[1:]] == ["", "", ""]
 
 
 # ------------------------------------------------------------ slow: n = 7

@@ -237,7 +237,7 @@ def test_failed_census_names_the_offending_words(capsys, monkeypatch):
 
 def test_failed_census_names_a_missing_tangled_cord(capsys, monkeypatch):
     def doctor(records):
-        return [replace(r, count=None, is_maximal=False) for r in records]
+        return [replace(r, count=r.bound - 1, is_maximal=False) for r in records]
 
     _doctored_census(monkeypatch, doctor)
     code, out, err = run_cli(capsys, "census", "3")
@@ -262,6 +262,17 @@ def test_census_rejects_fewer_than_one_thread(capsys, threads):
         main(["census", "2", "--threads", threads])
     assert info.value.code == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_census_has_no_cross_check_limit(capsys):
+    # a census always counts every class; only analyze takes the limit
+    with pytest.raises(SystemExit) as info:
+        main(["census", "3", "--cross-check-limit", "2"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert "--cross-check-limit" in captured.err
 
 
 def test_census_size_guard_maps_to_exit_one(capsys):

@@ -8,9 +8,8 @@ representative removes the reversal duplicates.
 
 The census then analyzes every class and checks the headline facts on the
 way out: nobody exceeds the Fibonacci bound, the parity verdict matches the
-enumerated count, the single bound-attaining class is the tangled cord,
-compositions are never maximal, and framing cords exist exactly off the
-compositions.
+count, the single bound-attaining class is the tangled cord, compositions
+are never maximal, and framing cords exist exactly off the compositions.
 
 Every class is counted: the bound check and the count/parity check cover the
 whole census, never a part of it.  The classes come out sorted, so
@@ -139,14 +138,13 @@ def enumerate_dow_classes(n: int, unsafe_large: bool = False) -> list[Dow]:
     return reps
 
 
-def _analyze_chunk(chunk: list[tuple[int, ...]]) -> list[CensusRecord]:
+def _analyze_chunk(words: list[Dow]) -> list[CensusRecord]:
     """Records for a run of classes, all with the same n, in order.
 
     The counts come from one batch of the counting programme, which shares
     the work along the common prefixes of the sorted classes; every other
     field comes from :func:`analyze`.
     """
-    words = [Dow(letters) for letters in chunk]
     records = []
     for word, count in zip(words, count_words(words)):
         report = analyze(word, cross_check_limit=0)
@@ -172,13 +170,12 @@ def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list
     has more workers than CPUs or chunks.
     """
     classes = enumerate_dow_classes(n, unsafe_large=unsafe_large)
-    jobs = [w.letters for w in classes]
     # more workers than CPUs or chunks would only cost start-up time
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _analyze_chunk(jobs)
-    size = max(1, (len(jobs) + workers * 8 - 1) // (workers * 8))
-    chunks = [jobs[k : k + size] for k in range(0, len(jobs), size)]
+        return _analyze_chunk(classes)
+    size = max(1, (len(classes) + workers * 8 - 1) // (workers * 8))
+    chunks = [classes[k : k + size] for k in range(0, len(classes), size)]
     with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
         parts = pool.map(_analyze_chunk, chunks)
     return [record for part in parts for record in part]

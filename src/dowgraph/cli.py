@@ -53,72 +53,45 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_word_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "word",
-        nargs="+",
-        help="a double occurrence word, compact (121323) or tokens (1 2 1 3 2 3)",
-    )
-
-
-def _add_format_argument(sub: argparse.ArgumentParser, choices: Sequence[str]) -> None:
-    sub.add_argument("--format", choices=list(choices), default="text")
-
-
-def _add_output_argument(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="dowgraph", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
+    positionals = {
+        "word": {
+            "nargs": "+",
+            "help": "a double occurrence word, compact (121323) or tokens (1 2 1 3 2 3)",
+        },
+        "n": {"type": int},
+    }
+    subs = {}
+    for name, help_text, positional, formats, handler in (
+        ("analyze", "full maximality report for a word", "word", ("text", "json"), _cmd_analyze),
+        ("count", "number of Hamiltonian sets of a word", "word", ("text", "json"), _cmd_count),
+        ("enumerate", "list every Hamiltonian set of a word", "word", ("text", "json"),
+         _cmd_enumerate),
+        ("tc", "print the tangled cord with n letters", "n", ("text", "json"), _cmd_tc),
+        ("census", "analyze every class with n letters", "n", ("text", "json", "csv"),
+         _cmd_census),
+        ("framing", "greedy framing cord of a word", "word", ("text", "json"), _cmd_framing),
+        ("export-dot", "graph structure as DOT text", "word", ("text",), _cmd_export_dot),
+    ):
+        sub = subs[name] = commands.add_parser(name, help=help_text)
+        sub.add_argument(positional, **positionals[positional])
+        sub.add_argument("--format", choices=list(formats), default="text")
+        sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
+        sub.set_defaults(handler=handler)
 
-    sub = commands.add_parser("analyze", help="full maximality report for a word")
-    _add_word_argument(sub)
-    _add_format_argument(sub, ("text", "json"))
-    _add_output_argument(sub)
-    sub.add_argument(
+    subs["analyze"].add_argument(
         "--cross-check-limit",
         type=int,
         default=DEFAULT_CROSS_CHECK_LIMIT,
         metavar="N",
-        help="enumerate the count only while n stays within N",
+        help="count the sets only while n stays within N",
     )
-
-    sub = commands.add_parser("count", help="number of Hamiltonian sets of a word")
-    _add_word_argument(sub)
-    _add_format_argument(sub, ("text", "json"))
-    _add_output_argument(sub)
-
-    sub = commands.add_parser("enumerate", help="list every Hamiltonian set of a word")
-    _add_word_argument(sub)
-    _add_format_argument(sub, ("text", "json"))
-    _add_output_argument(sub)
-
-    sub = commands.add_parser("tc", help="print the tangled cord with n letters")
-    sub.add_argument("n", type=int)
-    _add_format_argument(sub, ("text", "json"))
-    _add_output_argument(sub)
-
-    sub = commands.add_parser("census", help="analyze every class with n letters")
-    sub.add_argument("n", type=int)
-    _add_format_argument(sub, ("text", "json", "csv"))
-    _add_output_argument(sub)
-    sub.add_argument("--threads", type=_positive_int, default=1, metavar="K",
-                     help="worker processes for the per-class analysis")
-    sub.add_argument("--unsafe-large", action="store_true",
-                     help="waive the census size guard")
-
-    sub = commands.add_parser("framing", help="greedy framing cord of a word")
-    _add_word_argument(sub)
-    _add_format_argument(sub, ("text", "json"))
-    _add_output_argument(sub)
-
-    sub = commands.add_parser("export-dot", help="graph structure as DOT text")
-    _add_word_argument(sub)
-    _add_format_argument(sub, ("text",))
-    _add_output_argument(sub)
-
+    subs["census"].add_argument("--threads", type=_positive_int, default=1, metavar="K",
+                                help="worker processes for the per-class analysis")
+    subs["census"].add_argument("--unsafe-large", action="store_true",
+                                help="waive the census size guard")
     return parser
 
 
@@ -284,22 +257,11 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "tc": _cmd_tc,
-    "census": _cmd_census,
-    "framing": _cmd_framing,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

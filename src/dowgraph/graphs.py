@@ -43,9 +43,8 @@ class AssemblyGraph:
     # per real edge e_i (slot i-1): endpoints as 0-based vertex slots, for
     # tight loops that should not hash letters
     edge_slots: tuple[tuple[int, int], ...]
-    # sorted vertex letters; slot of letter v is vertex_slot[v]
+    # sorted vertex letters; the slot of a letter is its index here
     vertices: tuple[int, ...]
-    vertex_slot: dict[int, int]
 
     @property
     def n(self) -> int:
@@ -87,7 +86,6 @@ def build_graph(word: Dow) -> AssemblyGraph:
         incident=incident,
         edge_slots=edge_slots,
         vertices=verts,
-        vertex_slot=slot,
     )
 
 
@@ -141,7 +139,7 @@ def is_polygonal(graph: AssemblyGraph, path: PolygonalPath) -> bool:
     also rules out loops and closed walks.
     """
     vs, es = path.vertices, path.edges
-    if any(v not in graph.vertex_slot for v in vs):
+    if any(v not in graph.straight_through for v in vs):
         return False
     if len(set(vs)) != len(vs):
         return False

@@ -142,7 +142,7 @@ def edge_mask(graph: AssemblyGraph, hamset: HamiltonianSet, *, check: bool = Tru
     """Fingerprint a Hamiltonian set as its used-edge bitmask.
 
     ``check=False`` skips re-validating the set, for a caller that holds a
-    set :func:`enumerate_hamiltonian_sets` just decoded.
+    set the depth-first search of :func:`enumerate_hamiltonian_sets` built.
     """
     if check and not is_hamiltonian_set(graph, hamset):
         raise InvalidHamiltonianSetError("not a Hamiltonian set of this graph")

@@ -342,7 +342,7 @@ class MaximalityReport:
 
     ``word`` is the canonical form of the analyzed word, and all letters
     mentioned elsewhere in the report refer to that relabeling.  ``count``
-    is None when n exceeded the cross-check limit and enumeration was
+    is None when n exceeded the cross-check limit and counting was
     skipped.
     """
 
@@ -358,7 +358,7 @@ class MaximalityReport:
 
     @property
     def consistent(self) -> bool:
-        """Does the enumerated count agree with the parity verdict?"""
+        """Does the count agree with the parity verdict?"""
         if self.count is None:
             return True
         return (self.count == self.bound) == self.is_maximal

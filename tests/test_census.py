@@ -210,7 +210,7 @@ def test_csv_writer_roundtrip(census_by_n):
     assert len(rows) == 4
 
 
-# ------------------------------------------------------------ slow: n = 7
+# ------------------------------------------------------- slow: n = 7 and 8
 
 @pytest.mark.slow
 def test_census_seven_reverifies_the_paper():
@@ -221,3 +221,13 @@ def test_census_seven_reverifies_the_paper():
     assert summary.equivalence_failures == 0
     assert all(r.count is not None for r in records)
     assert summary.maximal_classes == (dg.tangled_cord(7),)
+
+
+@pytest.mark.slow
+def test_census_eight_reverifies_the_paper():
+    records = census_records(8, threads=2)
+    summary = summarize_records(8, records)
+    assert summary.total_classes == len(records) == _class_count(8) == 1016481
+    assert summary.bound_violations == 0
+    assert summary.equivalence_failures == 0
+    assert summary.maximal_classes == (dg.tangled_cord(8),)

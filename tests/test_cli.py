@@ -61,6 +61,32 @@ def test_analyze_can_skip_the_count(capsys):
     assert "count: skipped" in out.splitlines()
 
 
+def test_analyze_text_report_of_a_non_maximal_word(capsys):
+    code, out, err = run_cli(capsys, "analyze", "1221")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "word: 1221",
+        "n: 2",
+        "count: 3",
+        "bound: 4",
+        "maximal: false",
+        "failing letters: [1]",
+        "composition: false",
+        "framing cord: 1",
+        "minimal even split: [1] projecting to 11",
+    ]
+
+
+def test_analyze_count_against_parity_is_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr("dowgraph.maximality.count_hamiltonian_sets", lambda graph: 3)
+    code, out, err = run_cli(capsys, "analyze", "1212")
+    assert code == 2
+    assert "count: 3" in out.splitlines()
+    assert err.splitlines() == [
+        "internal check failed: count 3 disagrees with the parity verdict on 1212"
+    ]
+
+
 # ------------------------------------------------------ count, enumerate
 
 def test_count_text_and_json(capsys):
@@ -264,6 +290,16 @@ def test_census_rejects_fewer_than_one_thread(capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_census_rejects_a_non_integer_thread_count(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["census", "3", "--threads", "abc"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dowgraph census")
+    assert "invalid int value: 'abc'" in captured.err
+
+
 def test_census_has_no_cross_check_limit(capsys):
     # a census always counts every class; only analyze takes the limit
     with pytest.raises(SystemExit) as info:
@@ -299,6 +335,16 @@ def test_framing_reports_the_split(capsys):
         "framing_cord": None,
         "composition": ["11", "22"],
     }
+
+
+def test_framing_internal_check_is_exit_two(capsys, monkeypatch):
+    def broken(word):
+        raise dg.InternalCheckError("framing cord went astray")
+
+    monkeypatch.setattr("dowgraph.cli.find_framing_cord", broken)
+    code, out, err = run_cli(capsys, "framing", "1212")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["internal check failed: framing cord went astray"]
 
 
 # ----------------------------------------------------------- export-dot
@@ -383,3 +429,37 @@ def test_usage_problems_are_exit_one(capsys):
         main(["census", "2", "--format", "yaml"])
     assert info.value.code == 1
     capsys.readouterr()
+
+
+COMMAND_OPTIONS = {
+    "analyze": ["word", "--format", "--output", "--cross-check-limit"],
+    "count": ["word", "--format", "--output"],
+    "enumerate": ["word", "--format", "--output"],
+    "tc": ["n", "--format", "--output"],
+    "census": ["n", "--format", "--output", "--threads", "--unsafe-large"],
+    "framing": ["word", "--format", "--output"],
+    "export-dot": ["word", "--format", "--output"],
+}
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: dowgraph ")
+    assert "{" + ",".join(COMMAND_OPTIONS) + "}" in out
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_command_help_lists_its_options(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: dowgraph {command} ")
+    listed = set(captured.out.split())
+    positional, *options = COMMAND_OPTIONS[command]
+    assert positional in listed
+    assert {token for token in listed if token.startswith("--")} == {"--help", *options}

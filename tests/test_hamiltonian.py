@@ -213,6 +213,14 @@ def test_batch_count_through_shared_and_repeated_prefixes():
     assert dg.count_words([]) == []
 
 
+@given(renamed_dows(max_n=8, max_letter=10**9))
+@settings(max_examples=40, deadline=None)
+def test_batch_count_ignores_renaming(pair):
+    word, renamed = pair
+    expected = dg.count_hamiltonian_sets(dg.build_graph(word))
+    assert dg.count_words([word, renamed, dg.reverse_word(renamed)]) == [expected] * 3
+
+
 @pytest.mark.parametrize("n,expected", [(12, 29401), (13, 70981), (14, 171364)])
 def test_count_on_interleaved_words(n, expected):
     # 1 2 ... n 1 2 ... n keeps every letter open at once; values from the mask scan

@@ -1,10 +1,15 @@
 """Exhaustive census of words with n letters, one row per equivalence class.
 
-Every word with n letters corresponds to a perfect matching of the 2n
-positions (the two slots of each letter), so the raw canonical words are
-enumerated by pairing the first free position with every later one.  That
-produces (2n-1)!! words; keeping only those equal to their own class
-representative removes the reversal duplicates.
+Every word with n letters has exactly one canonical form, whose first
+occurrences read 1, 2, 3, ...  The canonical words are the leaves of a
+prefix trie of depth 2n: at each position a word either closes one of its
+open letters (those seen once so far) or opens the next letter.  Taking
+the closes in ascending order and the opening last walks the leaves in
+lexicographic order, so the classes come out sorted with no sort.  There
+are (2n-1)!! leaves, one per perfect matching of the 2n positions; a leaf
+is kept only when it reads no later than the canonical form of its
+reversal, which drops the reversal duplicates, and a validated
+:class:`~dowgraph.words.Dow` is built only for the leaves kept.
 
 The census then analyzes every class and checks the headline facts on the
 way out: nobody exceeds the Fibonacci bound, the parity verdict matches the
@@ -12,14 +17,18 @@ count, the single bound-attaining class is the tangled cord, compositions
 are never maximal, and framing cords exist exactly off the compositions.
 
 Every class is counted: the bound check and the count/parity check cover the
-whole census, never a part of it.  The classes come out sorted, so
-neighbours share long prefixes.  Each run of classes (the whole list in one
-process, or one chunk per worker task) is counted by one batch of
-:func:`~dowgraph.hamiltonian.count_words`, whose frontier programme extends
-each class only past the prefix it shares with the previous one: at n = 6
-that is 15,545 programme steps instead of 58,993 for a fresh count per
-class.  Every other field of a record comes from
+whole census, never a part of it.  Each run of classes is counted by one
+batch of :func:`~dowgraph.hamiltonian.count_words`, whose frontier
+programme extends each class only past the prefix it shares with the
+previous one: at n = 6 that is 15,545 programme steps instead of 58,993 for
+a fresh count per class.  Every other field of a record comes from
 :func:`~dowgraph.maximality.analyze` with counting switched off.
+
+In one process the run is the whole trie.  With worker processes, the
+tasks are the trie's prefixes at the shallowest depth that gives at least
+eight per worker; each worker generates, counts and analyzes the subtrie
+below its prefix, and the parent concatenates the records in prefix order,
+which is the class order.
 """
 
 from __future__ import annotations
@@ -29,12 +38,14 @@ import multiprocessing
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from typing import TextIO
 
 from .errors import InputError, InternalCheckError, TooLargeError
 from .hamiltonian import count_words
 from .maximality import analyze
-from .words import Dow, class_representative, render
+# bench/spans.py wraps census.class_representative by name; it stays importable
+from .words import Dow, class_representative, render  # noqa: F401
 
 __all__ = [
     "CENSUS_LIMIT",
@@ -91,7 +102,12 @@ class CensusSummary:
 
 
 def iter_canonical_words(n: int) -> Iterator[Dow]:
-    """All canonical words with n letters, one per position matching."""
+    """All canonical words with n letters, one per position matching.
+
+    The raw-word oracle that the trie of :func:`enumerate_dow_classes` is
+    tested against; the census does not use it.  It pairs the first free
+    position with every later one, so the words come out unsorted.
+    """
     if n < 1:
         raise InputError("n must be at least 1")
     two_n = 2 * n
@@ -116,6 +132,8 @@ def iter_canonical_words(n: int) -> Iterator[Dow]:
 
 
 def _check_census_size(n: int, unsafe_large: bool) -> None:
+    if n < 1:
+        raise InputError("n must be at least 1")
     if n > CENSUS_LIMIT and not unsafe_large:
         raise TooLargeError(
             f"a census at n = {n} would enumerate {_double_factorial(2 * n - 1):,} "
@@ -130,12 +148,90 @@ def _double_factorial(k: int) -> int:
     return out
 
 
+def _open_letters(prefix: tuple[int, ...]) -> list[int]:
+    """The letters seen once in a canonical prefix, ascending."""
+    return sorted(a for a in set(prefix) if prefix.count(a) == 1)
+
+
+def _is_representative(letters: tuple[int, ...]) -> bool:
+    """Whether a canonical word is its class representative.
+
+    That is ``letters <= _first_occurrence_labels(letters[::-1])``, the
+    reversal's canonical form, compared only up to the first difference.
+
+    >>> _is_representative((1, 1, 2, 2)), _is_representative((1, 2, 2, 1))
+    (True, True)
+    >>> _is_representative((1, 2, 1, 2, 3, 3))  # reversed, it reads 112323
+    False
+    """
+    relabel: dict[int, int] = {}
+    for a, b in zip(letters, reversed(letters)):
+        b = relabel.setdefault(b, len(relabel) + 1)
+        if a != b:
+            return a < b
+    return True
+
+
+def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
+    """Class representatives with n letters that start with ``prefix``.
+
+    ``prefix`` must be a prefix of a canonical word with n letters.  The
+    walk down the trie below it meets the canonical words in lexicographic
+    order, so the representatives come back sorted.
+
+    >>> [render(w) for w in _trie_classes(3, (1, 2, 1))]
+    ['121323', '121332']
+    >>> [render(w) for w in _trie_classes(2)]
+    ['1122', '1212', '1221']
+    """
+    two_n = 2 * n
+    word = list(prefix) + [0] * (two_n - len(prefix))
+    once = _open_letters(prefix)
+    classes: list[Dow] = []
+
+    def rec(pos: int, opened: int) -> None:
+        if pos == two_n:
+            letters = tuple(word)
+            if _is_representative(letters):
+                classes.append(Dow(letters))
+            return
+        for i in range(len(once)):
+            a = once.pop(i)
+            word[pos] = a
+            rec(pos + 1, opened)
+            once.insert(i, a)
+        if opened < n:
+            once.append(opened + 1)
+            word[pos] = opened + 1
+            rec(pos + 1, opened + 1)
+            once.pop()
+
+    rec(len(prefix), max(prefix, default=0))
+    return classes
+
+
+def _trie_prefixes(n: int, at_least: int) -> list[tuple[int, ...]]:
+    """The trie's prefixes at the shallowest depth with ``at_least`` of them
+    (or its leaves, if there are fewer), in lexicographic order.
+
+    >>> _trie_prefixes(3, 4)
+    [(1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
+    """
+    prefixes: list[tuple[int, ...]] = [()]
+    while len(prefixes) < at_least and len(prefixes[0]) < 2 * n:
+        deeper = []
+        for p in prefixes:
+            opened = max(p, default=0)
+            nexts = _open_letters(p) + ([opened + 1] if opened < n else [])
+            deeper += [p + (a,) for a in nexts]
+        prefixes = deeper
+    return prefixes
+
+
 def enumerate_dow_classes(n: int, unsafe_large: bool = False) -> list[Dow]:
     """Class representatives with n letters, sorted lexicographically."""
     _check_census_size(n, unsafe_large)
-    reps = [w for w in iter_canonical_words(n) if class_representative(w) == w]
-    reps.sort(key=lambda w: w.letters)
-    return reps
+    return _trie_classes(n)
 
 
 def _analyze_chunk(words: list[Dow]) -> list[CensusRecord]:
@@ -161,24 +257,31 @@ def _analyze_chunk(words: list[Dow]) -> list[CensusRecord]:
     return records
 
 
+def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[CensusRecord]:
+    """Records for the classes below one trie prefix; one worker task."""
+    return _analyze_chunk(_trie_classes(n, prefix))
+
+
 def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list[CensusRecord]:
     """Analyze every class; record order always matches the class order.
 
-    ``threads`` above one fans the classes out over worker processes in
-    fixed chunks, and the chunked results are concatenated in order, so the
-    output is identical whatever the degree of parallelism.  The pool never
-    has more workers than CPUs or chunks.
+    ``threads`` above one fans the trie out over worker processes, one task
+    per prefix, with at least eight prefixes per worker.  The results are
+    concatenated in prefix order as they arrive, so the output is identical
+    whatever the degree of parallelism.  The pool never has more workers
+    than CPUs or tasks.
     """
-    classes = enumerate_dow_classes(n, unsafe_large=unsafe_large)
-    # more workers than CPUs or chunks would only cost start-up time
+    _check_census_size(n, unsafe_large)
+    # more workers than CPUs or tasks would only cost start-up time
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _analyze_chunk(classes)
-    size = max(1, (len(classes) + workers * 8 - 1) // (workers * 8))
-    chunks = [classes[k : k + size] for k in range(0, len(classes), size)]
-    with multiprocessing.Pool(processes=min(workers, len(chunks))) as pool:
-        parts = pool.map(_analyze_chunk, chunks)
-    return [record for part in parts for record in part]
+        return _analyze_chunk(enumerate_dow_classes(n, unsafe_large=unsafe_large))
+    prefixes = _trie_prefixes(n, workers * 8)
+    records: list[CensusRecord] = []
+    with multiprocessing.Pool(processes=min(workers, len(prefixes))) as pool:
+        for part in pool.imap(partial(_analyze_subtrie, n), prefixes):
+            records += part
+    return records
 
 
 def summarize_records(n: int, records: list[CensusRecord]) -> CensusSummary:

@@ -37,8 +37,11 @@ def spans(monkeypatch):
         ["analyze", "1212", "--format", "json"],
         ["enumerate", "1212", "--format", "json"],
         ["census", "3", "--format", "csv", "--threads", "1"],
+        # the census workload also runs at 2 processes, where the tracer
+        # relies on census_records being the call that starts the workers
+        ["census", "3", "--format", "csv", "--threads", "2"],
     ],
-    ids=lambda argv: argv[0],
+    ids=["count", "analyze", "enumerate", "census", "census-2p"],
 )
 def test_traced_call_matches_the_untraced_one(spans, argv):
     status, plain, _ = spans.call_in_process(dg, argv)

@@ -8,6 +8,7 @@ import io
 import pytest
 
 import dowgraph as dg
+from dowgraph import census
 from dowgraph.census import (
     CENSUS_LIMIT,
     census_records,
@@ -33,6 +34,39 @@ def test_generated_words_are_canonical_and_distinct():
         for w in words:
             assert w.n == n
             assert dg.canonicalize(w) == w
+
+
+# ------------------------------------------------------ trie against oracle
+
+def _oracle_classes(n: int) -> list[dg.Dow]:
+    """The raw-word path: every canonical word, reversal dedupe, sort."""
+    reps = [w for w in iter_canonical_words(n) if dg.class_representative(w) == w]
+    return sorted(reps, key=lambda w: w.letters)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_trie_classes_match_the_raw_word_oracle(n):
+    assert enumerate_dow_classes(n) == _oracle_classes(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_subtries_partition_the_classes_at_every_depth(n):
+    classes = enumerate_dow_classes(n)
+    for depth in range(2 * n + 1):
+        prefixes = sorted({w.letters[:depth] for w in iter_canonical_words(n)})
+        parts = [census._trie_classes(n, prefix) for prefix in prefixes]
+        assert [w for part in parts for w in part] == classes
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_task_prefixes_are_the_shallowest_level_big_enough(n):
+    levels = [sorted({w.letters[:d] for w in iter_canonical_words(n)}) for d in range(2 * n + 1)]
+    for at_least in (1, 2, 8, 16, 100, 10**6):
+        prefixes = census._trie_prefixes(n, at_least)
+        depth = len(prefixes[0])
+        assert prefixes == levels[depth]
+        assert len(prefixes) >= at_least or depth == 2 * n
+        assert depth == 0 or len(levels[depth - 1]) < at_least
 
 
 # ----------------------------------------------------------- class lists
@@ -81,8 +115,19 @@ def test_size_guard():
         enumerate_dow_classes(9)
     with pytest.raises(dg.TooLargeError):
         census_records(9)
+    with pytest.raises(dg.TooLargeError):
+        census_records(9, threads=2)
     # the override flag skips the guard (checked on a small n to stay fast)
     assert len(enumerate_dow_classes(2, unsafe_large=True)) == 3
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_fewer_than_one_letter_is_rejected(n):
+    with pytest.raises(dg.InputError):
+        enumerate_dow_classes(n)
+    for threads in (1, 2):
+        with pytest.raises(dg.InputError):
+            census_records(n, threads=threads)
 
 
 # --------------------------------------------------------------- records
@@ -114,9 +159,11 @@ def test_worker_fanout_does_not_change_records():
 
 
 class _SerialPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+    """Stands in for multiprocessing.Pool: records its size and its task
+    count, and maps in process, starting no process."""
 
     sizes: list[int] = []
+    tasks: list[int] = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -127,24 +174,37 @@ class _SerialPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, items):
-        return [fn(item) for item in items]
+    def imap(self, fn, items):
+        items = list(items)
+        self.tasks.append(len(items))
+        return map(fn, items)
 
 
 @pytest.mark.parametrize("cpus,threads,expected", [
     (4, 2, 2),
     (4, 10000, 4),
-    (64, 10000, 11),   # one chunk per class: n = 3 has 11 classes
+    # 512 prefixes wanted, but n = 3 has only 15 words: one task per word,
+    # so fewer tasks than CPUs
+    (64, 10000, "tasks"),
     (None, 10000, None),
     (1, 10000, None),
 ])
 def test_pool_size_is_bounded(monkeypatch, cpus, threads, expected):
     serial = census_records(3, threads=1)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "tasks", [])
     monkeypatch.setattr(dg.census.multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(dg.census.os, "cpu_count", lambda: cpus)
     assert census_records(3, threads=threads) == serial
-    assert _SerialPool.sizes == ([] if expected is None else [expected])
+    if expected is None:
+        assert _SerialPool.sizes == _SerialPool.tasks == []
+        return
+    [tasks] = _SerialPool.tasks
+    assert _SerialPool.sizes == [min(threads, cpus, tasks)]
+    if expected == "tasks":
+        assert tasks == 15
+        expected = tasks
+    assert _SerialPool.sizes == [expected]
 
 
 # --------------------------------------------------------------- summary

@@ -13,9 +13,10 @@ straight-through pair, so no vertex gets degree three; such a mask is a
 fingerprint exactly when its edges contain no loop and no cycle.
 
 Counting runs a frontier dynamic programme over the edges, whose cost is set
-by the cut width of the word (how many letters are open at once) rather than
-by F(2n+1).  Each of its steps depends only on the prefix read so far, so a
-batch of words shares the work along common prefixes.
+by the cut width of the word (how many letters are open at once), not by
+F(2n+1).  Its state is a mate array: each open letter holds a slot naming the
+open letter at the other end of its path, or itself.  Each step depends only
+on the prefix read so far, so a batch shares the steps of common prefixes.
 
 Enumeration is a depth-first search over the edges that joins paths as it
 takes edges and refuses every loop and cycle, so it visits only the
@@ -109,7 +110,6 @@ def nonconsecutive_masks(num_bits: int) -> tuple[int, ...]:
 
 def alternating_mask(n: int) -> int:
     """The mask selecting e_1, e_3, ..., e_(2n-1); the one value the
-
     fingerprint map can never take, since those n edges chain every vertex
     into closed runs."""
     return sum(1 << k for k in range(0, 2 * n - 1, 2))
@@ -231,15 +231,10 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> HamiltonianSet
     return HamiltonianSet(frozenset(paths))
 
 
-# the counting programme after a prefix: open letters, states, last letter closes
-_Programme = tuple[tuple[int, ...], dict[tuple[int, ...], list[int]], bool]
-
-
 def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
     """How many Hamiltonian sets the graph has.
 
-    The one-word case of :func:`count_words`, which holds the counting
-    programme.
+    The one-word case of :func:`count_words`, the counting programme.
 
     >>> from dowgraph import build_graph, tangled_cord
     >>> count_hamiltonian_sets(build_graph(tangled_cord(5)))
@@ -252,22 +247,22 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     """The Hamiltonian-set counts of the words' assembly graphs, in order.
 
     A frontier dynamic programme over the edges e_1..e_(2n-1), left to
-    right.  A letter is open from its first occurrence until the last edge
-    at its second occurrence has been processed.  The state is the split of
-    the open letters into components, labelled in order of first appearance,
-    and maps to two counts: selections whose last edge was left out and
-    selections that took it.  An edge may be taken when the previous one was
-    not, it is no loop, and its ends lie in different components, so the
+    right, whose state is a mate array over the slots of the open letters
+    (see :func:`_slots`): ``m[s]`` is the slot of the open letter at the
+    other end of the path that ends at ``s``, or ``s`` itself when there is
+    none.  It maps to two counts: selections whose last edge was left out
+    and selections that took it.  An edge x -> y may be taken when the
+    previous one was not, it is no loop, and ``m[x] != y``, so the
     selections counted are exactly the masks without adjacent ones whose
     edges induce disjoint paths.  The number of states is set by how many
     letters are open at once, not by F_(2n+1); the bound F_(2n+1) - 1 is
     never reached because the alternating mask always closes a cycle.
 
-    Each step needs only the prefix read so far (a letter closes when it
-    was seen before), so the words share work along common prefixes: the
-    programme keeps one state per prefix position that the next word
-    shares, pops back to it, and extends only the rest.  Words in sorted
-    order share the most; any order gives the same counts.
+    Each step needs only the prefix read so far, so the words share work
+    along common prefixes: the programme keeps the states after each prefix
+    position that the next word shares, pops back to it, and extends only
+    the rest.  Words in sorted order share the most; any order gives the
+    same counts.
 
     >>> from dowgraph import parse
     >>> count_words([parse("11"), parse("1122"), parse("1212"), parse("11")])
@@ -275,19 +270,18 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     """
     letters = [word.letters for word in words]
     counts: list[int] = []
-    # stack[k] is the programme after w[0..k], kept while the next word
-    # shares that prefix: the open letters, the states (partition of the open
-    # letters -> [count, last edge free; count, last edge taken]) and whether
-    # w[k] closes its letter
-    stack: list[_Programme] = []
+    # stack[k] holds the states after w[0..k] (mate array -> [count, last
+    # edge free; count, last edge taken]) while the next word shares w[0..k]
+    stack: list[dict[tuple[int, ...], list[int]]] = []
     for i, w in enumerate(letters):
         share = _common_prefix(w, letters[i + 1]) if i + 1 < len(letters) else 0
-        entry = stack[-1] if stack else None
+        slots = _slots(w)
+        states = stack[-1] if stack else {}
         for k in range(len(stack), len(w)):
-            entry = ((w[0],), {(0,): [1, 0]}, False) if k == 0 else _step(*entry, w[k - 1], w[k])
+            states = {(0,): [1, 0]} if k == 0 else _step(states, *slots[k - 1], slots[k][0])
             if k < share:
-                stack.append(entry)
-        counts.append(sum(free + taken for free, taken in entry[1].values()))
+                stack.append(states)
+        counts.append(sum(free + taken for free, taken in states.values()))
         del stack[share:]
     return counts
 
@@ -299,47 +293,53 @@ def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return min(len(u), len(v))
 
 
-def _step(
-    frontier: tuple[int, ...],
-    states: dict[tuple[int, ...], list[int]],
-    a_closes: bool,
-    a: int,
-    b: int,
-) -> _Programme:
-    """Decide the edge (a, b) that follows a prefix ending in ``a``.
+def _slots(w: tuple[int, ...]) -> list[tuple[int, bool]]:
+    """Each position's slot, and whether the position closes its letter.
 
-    ``a_closes`` says the prefix's last letter is a second occurrence, so it
-    leaves the frontier after this edge.  Returns the new frontier, states
-    and whether ``b`` closes.
+    A letter frees its slot after the edge that leaves its second
+    occurrence, and a new letter takes the slot freed last, or else a new
+    one, so a prefix's slots depend on the prefix alone.  The tangled cord
+    holds at most three:
+
+    >>> from dowgraph import tangled_cord
+    >>> sorted({slot for slot, _ in _slots(tangled_cord(2000).letters)})
+    [0, 1, 2]
     """
-    b_closes = b in frontier
-    if not b_closes:
-        frontier += (b,)
-        states = {p + (max(p) + 1,): c for p, c in states.items()}
-    x, y = frontier.index(a), frontier.index(b)
-    drop = x if a_closes else -1
-    if drop >= 0:
-        frontier = frontier[:drop] + frontier[drop + 1 :]
+    slot_of: dict[int, int] = {}
+    freed: list[int] = []
+    out: list[tuple[int, bool]] = []
+    for k, c in enumerate(w):
+        if k >= 2 and out[k - 2][1]:
+            freed.append(slot_of.pop(w[k - 2]))
+        closes = c in slot_of
+        if not closes:
+            # every slot is held by an open letter or waits in freed
+            slot_of[c] = freed.pop() if freed else len(slot_of)
+        out.append((slot_of[c], closes))
+    return out
+
+
+def _step(
+    states: dict[tuple[int, ...], list[int]], x: int, x_closes: bool, y: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Decide the edge from slot ``x`` to slot ``y``, then free ``x`` if its letter
+    closes.  Only a new slot ``y`` lengthens the states; a freed one reads as itself."""
+    if y == len(next(iter(states))):
+        states = {p + (y,): c for p, c in states.items()}
     nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
     for p, (free, taken) in states.items():
-        nxt[p if drop < 0 else _without(p, drop)][0] += free + taken
-        # a loop has both ends in one slot, so it fails lo != hi too
-        lo, hi = p[x], p[y]
-        if free and lo != hi:
-            if lo > hi:
-                lo, hi = hi, lo
-            # hi's first appearance follows lo's, so folding hi into lo
-            # keeps the first-appearance order of every other label
-            q = tuple([lo if label == hi else label - (label > hi) for label in p])
-            nxt[q if drop < 0 else _without(q, drop)][1] += free
-    return frontier, nxt, b_closes
-
-
-def _without(p: tuple[int, ...], drop: int) -> tuple[int, ...]:
-    """Partition ``p`` with slot ``drop`` removed, relabelled in order of
-    first appearance."""
-    seen: dict[int, int] = {}
-    return tuple([seen.setdefault(label, len(seen)) for label in p[:drop] + p[drop + 1 :]])
+        q = list(p)
+        if x_closes:
+            q[q[x]], q[x] = q[x], x
+        nxt[tuple(q)][0] += free + taken
+        # refuse a loop and a cycle (y is x's mate); the joined path's ends become mates
+        if free and x != y != p[x]:
+            q = list(p)
+            q[x], q[y], q[p[x]], q[p[y]] = x, y, p[y], p[x]
+            if x_closes:
+                q[q[x]], q[x] = q[x], x
+            nxt[tuple(q)][1] += free
+    return nxt
 
 
 def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:

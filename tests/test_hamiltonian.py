@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +228,37 @@ def test_count_on_interleaved_words(n, expected):
     # 1 2 ... n 1 2 ... n keeps every letter open at once; values from the mask scan
     g = dg.build_graph(dg.Dow(tuple(range(1, n + 1)) * 2))
     assert dg.count_hamiltonian_sets(g) == expected
+
+
+@pytest.mark.parametrize("n,seed,expected", [
+    (26, 2, 34_348_278_573),
+    (30, 4, 1_856_523_941_140),
+    (33, 7, 43_631_216_793_088),
+])
+def test_count_on_wide_random_words(n, seed, expected):
+    # cut width 17..19, far wider than the n <= 8 words the oracles reach;
+    # values from the partition-state programme the mate array replaced
+    letters = list(range(1, n + 1)) * 2
+    random.Random(seed).shuffle(letters)
+    word = dg.Dow(tuple(letters))
+    renamed = dg.Dow(tuple(n + 1 - a for a in letters))
+    assert dg.count_words([word, dg.reverse_word(word), renamed]) == [expected] * 3
+
+
+def _pairs(n):
+    return dg.Dow(tuple(a for a in range(1, n + 1) for _ in (0, 1)))
+
+
+@pytest.mark.parametrize("word,expected", [
+    pytest.param(dg.tangled_cord(2000), dg.fibonacci(4001) - 1, id="tangled-2000"),
+    pytest.param(_pairs(10), 2 ** 9, id="pairs-10"),
+    pytest.param(_pairs(2000), 2 ** 1999, id="pairs-2000"),
+])
+def test_count_on_long_narrow_words(word, expected):
+    # at most three slots are open at once, reused all the way down; in
+    # 1 1 2 2 ... n n the loops are never taken, and any subset of the
+    # n - 1 edges between neighbouring pairs is a Hamiltonian set
+    assert dg.count_words([word]) == [expected]
 
 
 def test_tangled_cord_attains_bound_up_to_sixty():

@@ -21,8 +21,10 @@ whole census, never a part of it.  Each run of classes is counted by one
 batch of :func:`~dowgraph.hamiltonian.count_words`, whose frontier
 programme extends each class only past the prefix it shares with the
 previous one: at n = 6 that is 15,545 programme steps instead of 58,993 for
-a fresh count per class.  Every other field of a record comes from
-:func:`~dowgraph.maximality.analyze` with counting switched off.
+a fresh count per class.  The other fields come from the verdict core that
+:func:`~dowgraph.maximality.analyze` runs after canonicalizing, with all of
+its checks; the classes are canonical already, so the census calls the
+core directly and builds no report.
 
 In one process the run is the whole trie.  With worker processes, the
 tasks are the trie's prefixes at the shallowest depth that gives at least
@@ -34,7 +36,6 @@ which is the class order.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -42,10 +43,12 @@ from functools import partial
 from typing import TextIO
 
 from .errors import InputError, InternalCheckError, TooLargeError
-from .hamiltonian import count_words
-from .maximality import analyze
-# bench/spans.py wraps census.class_representative by name; it stays importable
-from .words import Dow, class_representative, render  # noqa: F401
+from .hamiltonian import count_words, fibonacci
+from .maximality import _verdicts
+from .words import Dow, render
+# bench/spans.py wraps both here by name; they stay importable
+from .maximality import analyze  # noqa: F401
+from .words import class_representative  # noqa: F401
 
 __all__ = [
     "CENSUS_LIMIT",
@@ -234,24 +237,25 @@ def enumerate_dow_classes(n: int, unsafe_large: bool = False) -> list[Dow]:
     return _trie_classes(n)
 
 
-def _analyze_chunk(words: list[Dow]) -> list[CensusRecord]:
-    """Records for a run of classes, all with the same n, in order.
+def _analyze_chunk(n: int, words: list[Dow]) -> list[CensusRecord]:
+    """Records for a run of canonical classes with n letters, in order.
 
     The counts come from one batch of the counting programme, which shares
     the work along the common prefixes of the sorted classes; every other
-    field comes from :func:`analyze`.
+    field comes from the verdict core of :func:`analyze`.
     """
+    bound = fibonacci(2 * n + 1) - 1
     records = []
     for word, count in zip(words, count_words(words)):
-        report = analyze(word, cross_check_limit=0)
+        split, is_composition, cord = _verdicts(word)
         records.append(
             CensusRecord(
-                representative=report.word,
+                representative=word,
                 count=count,
-                bound=report.bound,
-                is_maximal=report.is_maximal,
-                is_composition=report.is_composition,
-                has_framing_cord=report.framing_cord is not None,
+                bound=bound,
+                is_maximal=split is None,
+                is_composition=is_composition,
+                has_framing_cord=cord is not None,
             )
         )
     return records
@@ -259,7 +263,7 @@ def _analyze_chunk(words: list[Dow]) -> list[CensusRecord]:
 
 def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[CensusRecord]:
     """Records for the classes below one trie prefix; one worker task."""
-    return _analyze_chunk(_trie_classes(n, prefix))
+    return _analyze_chunk(n, _trie_classes(n, prefix))
 
 
 def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list[CensusRecord]:
@@ -275,7 +279,10 @@ def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list
     # more workers than CPUs or tasks would only cost start-up time
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _analyze_chunk(enumerate_dow_classes(n, unsafe_large=unsafe_large))
+        return _analyze_chunk(n, enumerate_dow_classes(n, unsafe_large=unsafe_large))
+    # imported here so that one-process runs skip its start-up cost
+    import multiprocessing
+
     prefixes = _trie_prefixes(n, workers * 8)
     records: list[CensusRecord] = []
     with multiprocessing.Pool(processes=min(workers, len(prefixes))) as pool:

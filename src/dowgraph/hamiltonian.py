@@ -36,6 +36,7 @@ from functools import lru_cache
 
 from .errors import (
     ConsecutiveEdgesError,
+    InputError,
     InvalidHamiltonianSetError,
     TooLargeError,
 )
@@ -82,7 +83,7 @@ def fibonacci(k: int) -> int:
     [0, 1, 1, 2, 3, 5, 8, 13]
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise InputError("k must be non-negative")
     a, b = 0, 1
     for _ in range(k):
         a, b = b, a + b
@@ -97,7 +98,7 @@ def nonconsecutive_masks(num_bits: int) -> tuple[int, ...]:
     k-1 bits plus the masks on k-2 bits with bit k-1 set.
     """
     if num_bits < 0:
-        raise ValueError("num_bits must be non-negative")
+        raise InputError("num_bits must be non-negative")
     older: list[int] = [0]
     newer: list[int] = [0, 1]
     if num_bits == 0:
@@ -121,6 +122,8 @@ def mask_to_bits(mask: int, num_edges: int) -> str:
     >>> mask_to_bits(0b10010, 5)
     '01001'
     """
+    if num_edges < 0:
+        raise InputError("num_edges must be non-negative")
     # bin() of the low bits under a guard bit, reversed without '0b1'
     return bin(mask & ((1 << num_edges) - 1) | 1 << num_edges)[:2:-1]
 

@@ -35,14 +35,16 @@ from .graphs import AssemblyGraph, build_graph
 from .hamiltonian import count_hamiltonian_sets, fibonacci, nonconsecutive_masks
 from .words import (
     Dow,
+    _composition_cut,
+    _is_tangled,
     canonicalize,
     delete_letters,
-    is_tangled_cord,
     occurrences,
     project,
     render,
-    split_composition,
 )
+# bench/spans.py wraps both here by name; they stay importable
+from .words import is_tangled_cord, split_composition  # noqa: F401
 
 __all__ = [
     "DEFAULT_CROSS_CHECK_LIMIT",
@@ -129,12 +131,16 @@ def even_split_witness(word: Dow) -> frozenset[int] | None:
     >>> even_split_witness(Dow((1, 2, 1, 2))) is None
     True
     """
-    pairs = occurrences(word).pairs
+    return _even_split(occurrences(word).pairs)
+
+
+def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
+    # even_split_witness on a word's occurrence index
     letters = sorted(pairs)
     spots = [pairs[a] for a in letters]
     n = len(letters)
     # bound[i]: every position before it holds one of letters[:i]
-    bound = [len(word.letters) + 1] * (n + 1)
+    bound = [2 * n + 1] * (n + 1)
     low = bound[n]
     for i in range(n - 1, -1, -1):
         if spots[i][0] < low:
@@ -215,7 +221,11 @@ def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
     run gets stuck before the end of the word exactly when some proper
     prefix is a complete word of its own.
     """
-    occ = occurrences(word).pairs
+    return _framing_cord(word, occurrences(word).pairs)
+
+
+def _framing_cord(word: Dow, occ: dict[int, tuple[int, int]]) -> tuple[int, ...] | None:
+    # find_framing_cord on a word and its occurrence index
     total = len(word.letters)
     first = word.letters[0]
     cord = [first]
@@ -311,13 +321,43 @@ def minimal_even_split(word: Dow) -> tuple[frozenset[int], Dow] | None:
     sigma = even_split_witness(word)
     if sigma is None:
         return None
-    projection = project(word, sigma).to_dow()
-    if not is_tangled_cord(projection):
+    return sigma, Dow(_tangled_projection(word, sigma))
+
+
+def _tangled_projection(word: Dow, sigma: frozenset[int]) -> tuple[int, ...]:
+    # the projection onto sigma, checked to be a tangled cord
+    content = tuple([a for a in word.letters if a in sigma])
+    if not _is_tangled(content):
         raise InternalCheckError(
             f"minimal split {sorted(sigma)} of {render(word)} projects to "
-            f"{render(projection)}, which is not a tangled cord"
+            f"{render(Dow(content))}, which is not a tangled cord"
         )
-    return sigma, projection
+    return content
+
+
+def _verdicts(
+    word: Dow,
+) -> tuple[tuple[frozenset[int], tuple[int, ...]] | None, bool, tuple[int, ...] | None]:
+    """The minimal even split with its projection's letters, the
+    composition flag and the framing cord.
+
+    The core that :func:`analyze` and the census share.  The word is taken
+    as it is, so the letters returned are its own: :func:`analyze`
+    canonicalizes first, and the census's classes are canonical already.
+    The checks all fire here: the split projects to a tangled cord, the
+    cord frames the word, and a cord exists exactly when the word is no
+    composition.
+    """
+    pairs = occurrences(word).pairs
+    sigma = _even_split(pairs)
+    split = None if sigma is None else (sigma, _tangled_projection(word, sigma))
+    is_composition = _composition_cut(word.letters) is not None
+    cord = _framing_cord(word, pairs)
+    if (cord is None) != is_composition:
+        raise InternalCheckError(
+            f"cord extraction and composition split disagree on {render(word)}"
+        )
+    return split, is_composition, cord
 
 
 @dataclass(frozen=True)
@@ -393,26 +433,22 @@ def analyze(word: Dow, cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT) -> Ma
     """
     canonical = canonicalize(word)
     n = canonical.n
-    bound = fibonacci(2 * n + 1) - 1
-    minimal = minimal_even_split(canonical)
-    split = None if minimal is None else EvenSplit(*minimal, is_tangled_cord=True)
+    minimal, is_composition, cord = _verdicts(canonical)
+    split = None
+    if minimal is not None:
+        sigma, projection = minimal
+        split = EvenSplit(sigma, Dow(projection), is_tangled_cord=True)
     count = None
     if n <= cross_check_limit:
         count = count_hamiltonian_sets(build_graph(canonical))
-    composition = split_composition(canonical)
-    cord = find_framing_cord(canonical)
-    if (cord is None) != (composition is not None):
-        raise InternalCheckError(
-            f"cord extraction and composition split disagree on {render(canonical)}"
-        )
     return MaximalityReport(
         word=canonical,
         n=n,
         count=count,
-        bound=bound,
+        bound=fibonacci(2 * n + 1) - 1,
         is_maximal=split is None,
         failing_sigma=None if split is None else split.sigma,
-        is_composition=composition is not None,
+        is_composition=is_composition,
         framing_cord=cord,
         minimal_even_split=split,
     )

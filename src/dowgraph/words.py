@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BadTokenError,
@@ -313,10 +314,34 @@ def tangled_cord(n: int) -> Dow:
     return Dow(tuple(out))
 
 
+@lru_cache(maxsize=32)
+def _tangled_letters(n: int) -> tuple[int, ...]:
+    return tangled_cord(n).letters
+
+
+def _is_tangled(letters: Sequence[int]) -> bool:
+    """:func:`is_tangled_cord` on the letters of a word, built or not."""
+    return _first_occurrence_labels(letters) == _tangled_letters(len(letters) // 2)
+
+
 def is_tangled_cord(word: Dow) -> bool:
     """True when the word is a tangled cord up to renaming (and reversal;
     the tangled cord reads the same backwards after canonicalizing)."""
-    return canonicalize(word).letters == tangled_cord(word.n).letters
+    return _is_tangled(word.letters)
+
+
+def _composition_cut(letters: Sequence[int]) -> int | None:
+    """The length of the shortest proper prefix that is a complete word.
+
+    Every letter occurs twice, so a prefix is complete exactly when it is
+    twice as long as its alphabet.
+    """
+    seen: set[int] = set()
+    for pos, a in enumerate(letters[:-1], start=1):
+        seen.add(a)
+        if 2 * len(seen) == pos:
+            return pos
+    return None
 
 
 def split_composition(word: Dow) -> tuple[Dow, Dow] | None:
@@ -331,12 +356,7 @@ def split_composition(word: Dow) -> tuple[Dow, Dow] | None:
     >>> split_composition(parse("1212")) is None
     True
     """
-    open_letters: set[int] = set()
-    for pos, a in enumerate(word.letters, start=1):
-        if a in open_letters:
-            open_letters.discard(a)
-        else:
-            open_letters.add(a)
-        if not open_letters and pos < len(word.letters):
-            return Dow(word.letters[:pos]), Dow(word.letters[pos:])
-    return None
+    cut = _composition_cut(word.letters)
+    if cut is None:
+        return None
+    return Dow(word.letters[:cut]), Dow(word.letters[cut:])

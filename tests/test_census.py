@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
 
 import pytest
 
@@ -152,6 +153,34 @@ def test_batch_counts_match_per_word_counts(census_by_n):
             assert r.count == dg.count_hamiltonian_sets(dg.build_graph(r.representative))
 
 
+def test_records_agree_with_analyze(census_by_n):
+    # the census runs analyze's verdict core without analyze; the report is
+    # the oracle for every field the core decides
+    for n in range(1, 7):
+        for r in census_by_n[n].records:
+            report = dg.analyze(r.representative, cross_check_limit=0)
+            assert report.word == r.representative
+            assert (r.bound, r.is_maximal, r.is_composition, r.has_framing_cord) == (
+                report.bound,
+                report.is_maximal,
+                report.is_composition,
+                report.framing_cord is not None,
+            )
+
+
+@pytest.mark.parametrize("helper,fault,message", [
+    # every letter as the witness: only tc(4) projects to a tangled cord
+    ("_even_split", lambda pairs: frozenset(pairs), "not a tangled cord"),
+    # no composition anywhere, though 11223344 has no framing cord
+    ("_composition_cut", lambda letters: None, "disagree"),
+    ("is_framing_cord", lambda word, cord: False, "fails the framing check"),
+], ids=["witness", "composition", "framing"])
+def test_census_checks_still_fire(monkeypatch, helper, fault, message):
+    monkeypatch.setattr(dg.maximality, helper, fault)
+    with pytest.raises(dg.InternalCheckError, match=message):
+        census_records(4)
+
+
 def test_worker_fanout_does_not_change_records():
     serial = census_records(4, threads=1)
     for threads in (2, 5):
@@ -193,7 +222,8 @@ def test_pool_size_is_bounded(monkeypatch, cpus, threads, expected):
     serial = census_records(3, threads=1)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     monkeypatch.setattr(_SerialPool, "tasks", [])
-    monkeypatch.setattr(dg.census.multiprocessing, "Pool", _SerialPool)
+    # census_records imports multiprocessing when it needs a pool
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(dg.census.os, "cpu_count", lambda: cpus)
     assert census_records(3, threads=threads) == serial
     if expected is None:

@@ -67,6 +67,20 @@ def test_mask_to_bits_orientation():
     assert mask_to_bits(0, 3) == "000"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dg.fibonacci(-1),
+        lambda: nonconsecutive_masks(-1),
+        lambda: mask_to_bits(0b101, -1),
+    ],
+    ids=["fibonacci", "nonconsecutive_masks", "mask_to_bits"],
+)
+def test_negative_sizes_are_input_errors(call):
+    with pytest.raises(dg.InputError):
+        call()
+
+
 # ----------------------------------------------------------- edge_mask
 
 def test_edge_mask_of_all_singletons():

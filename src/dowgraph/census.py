@@ -15,6 +15,9 @@ The census then analyzes every class and checks the headline facts on the
 way out: nobody exceeds the Fibonacci bound, the parity verdict matches the
 count, the single bound-attaining class is the tangled cord, compositions
 are never maximal, and framing cords exist exactly off the compositions.
+The whole verdict is reached here, in :func:`summarize_records`: the last
+two facts raise at once, and the first three fill the summary's
+``failures``, which the command line only prints.
 
 Every class is counted: the bound check and the count/parity check cover the
 whole census, never a part of it.  Each run of classes is counted by one
@@ -37,15 +40,16 @@ from __future__ import annotations
 
 import csv
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
+from math import prod
 from typing import TextIO
 
 from .errors import InputError, InternalCheckError, TooLargeError
 from .hamiltonian import count_words, fibonacci
 from .maximality import _verdicts
-from .words import Dow, render
+from .words import Dow, render, tangled_cord
 # bench/spans.py wraps both here by name; they stay importable
 from .maximality import analyze  # noqa: F401
 from .words import class_representative  # noqa: F401
@@ -82,17 +86,17 @@ class CensusRecord:
 
 @dataclass(frozen=True)
 class CensusSummary:
-    """The census tallies.  ``violating`` and ``disagreeing`` hold the first
-    few representatives behind ``bound_violations`` and
-    ``equivalence_failures``; they stay out of the JSON form."""
+    """The census tallies and its verdict.  ``failures`` holds, in a fixed
+    order, one entry per check that failed: its label and the first few
+    offending representatives.  It is empty exactly when the census comes
+    out clean, and it stays out of the JSON form."""
 
     n: int
     total_classes: int
     maximal_classes: tuple[Dow, ...]
     bound_violations: int
     equivalence_failures: int
-    violating: tuple[Dow, ...] = ()
-    disagreeing: tuple[Dow, ...] = ()
+    failures: tuple[tuple[str, tuple[Dow, ...]], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,24 +143,12 @@ def _check_census_size(n: int, unsafe_large: bool) -> None:
         raise InputError("n must be at least 1")
     if n > CENSUS_LIMIT and not unsafe_large:
         raise TooLargeError(
-            f"a census at n = {n} would enumerate {_double_factorial(2 * n - 1):,} "
+            f"a census at n = {n} would enumerate {prod(range(2 * n - 1, 0, -2)):,} "
             f"raw words; use the unsafe-large override to insist"
         )
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    for v in range(k, 0, -2):
-        out *= v
-    return out
-
-
-def _open_letters(prefix: tuple[int, ...]) -> list[int]:
-    """The letters seen once in a canonical prefix, ascending."""
-    return sorted(a for a in set(prefix) if prefix.count(a) == 1)
-
-
-def _is_representative(letters: tuple[int, ...]) -> bool:
+def _is_representative(letters: Sequence[int]) -> bool:
     """Whether a canonical word is its class representative.
 
     That is ``letters <= _first_occurrence_labels(letters[::-1])``, the
@@ -175,28 +167,20 @@ def _is_representative(letters: tuple[int, ...]) -> bool:
     return True
 
 
-def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
-    """Class representatives with n letters that start with ``prefix``.
-
-    ``prefix`` must be a prefix of a canonical word with n letters.  The
-    walk down the trie below it meets the canonical words in lexicographic
-    order, so the representatives come back sorted.
-
-    >>> [render(w) for w in _trie_classes(3, (1, 2, 1))]
-    ['121323', '121332']
-    >>> [render(w) for w in _trie_classes(2)]
-    ['1122', '1212', '1221']
-    """
-    two_n = 2 * n
-    word = list(prefix) + [0] * (two_n - len(prefix))
-    once = _open_letters(prefix)
-    classes: list[Dow] = []
+def _walk_trie(
+    n: int, prefix: tuple[int, ...], depth: int, visit: Callable[[list[int]], None]
+) -> None:
+    """Call ``visit`` on each canonical prefix of length ``depth`` that
+    extends ``prefix``, a canonical prefix itself, in lexicographic order.
+    ``visit`` gets one list that the walk keeps rewriting.  No branch dies:
+    the open letters plus twice the unopened ones fill the positions left."""
+    word = list(prefix) + [0] * (depth - len(prefix))
+    # the letters seen once so far, ascending
+    once = sorted(a for a in set(prefix) if prefix.count(a) == 1)
 
     def rec(pos: int, opened: int) -> None:
-        if pos == two_n:
-            letters = tuple(word)
-            if _is_representative(letters):
-                classes.append(Dow(letters))
+        if pos == depth:
+            visit(word)
             return
         for i in range(len(once)):
             a = once.pop(i)
@@ -210,6 +194,27 @@ def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
             once.pop()
 
     rec(len(prefix), max(prefix, default=0))
+
+
+def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
+    """Class representatives with n letters that start with ``prefix``.
+
+    ``prefix`` must be a prefix of a canonical word with n letters.  The
+    walk down the trie below it meets the canonical words in lexicographic
+    order, so the representatives come back sorted.
+
+    >>> [render(w) for w in _trie_classes(3, (1, 2, 1))]
+    ['121323', '121332']
+    >>> [render(w) for w in _trie_classes(2)]
+    ['1122', '1212', '1221']
+    """
+    classes: list[Dow] = []
+
+    def keep(word: list[int]) -> None:
+        if _is_representative(word):
+            classes.append(Dow(tuple(word)))
+
+    _walk_trie(n, prefix, 2 * n, keep)
     return classes
 
 
@@ -220,14 +225,11 @@ def _trie_prefixes(n: int, at_least: int) -> list[tuple[int, ...]]:
     >>> _trie_prefixes(3, 4)
     [(1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     """
-    prefixes: list[tuple[int, ...]] = [()]
-    while len(prefixes) < at_least and len(prefixes[0]) < 2 * n:
-        deeper = []
-        for p in prefixes:
-            opened = max(p, default=0)
-            nexts = _open_letters(p) + ([opened + 1] if opened < n else [])
-            deeper += [p + (a,) for a in nexts]
-        prefixes = deeper
+    for depth in range(2 * n + 1):
+        prefixes: list[tuple[int, ...]] = []
+        _walk_trie(n, (), depth, lambda word: prefixes.append(tuple(word)))
+        if len(prefixes) >= at_least:
+            break
     return prefixes
 
 
@@ -292,14 +294,15 @@ def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list
 
 
 def summarize_records(n: int, records: list[CensusRecord]) -> CensusSummary:
-    """Fold records into a summary, insisting on the structural theorems.
+    """Fold records into a summary and judge the census.
 
     A composition that tests maximal, or a framing cord present on exactly
     the wrong side of the composition split, would falsify the theory this
-    package implements, so either raises immediately.  Bound violations and
-    parity-versus-count disagreements are tallied in the summary instead,
-    with the first few offending representatives; both stay zero on any
-    correct run.
+    package implements, so either raises immediately.  The paper's headline
+    checks are judged in ``failures`` instead, with the first few offending
+    representatives: no count exceeds the bound, the parity verdict agrees
+    with the count, and the tangled cord is the one maximal class.  On any
+    correct run ``failures`` is empty.
     """
     for r in records:
         if r.is_composition and r.is_maximal:
@@ -315,14 +318,23 @@ def summarize_records(n: int, records: list[CensusRecord]) -> CensusSummary:
     )
     violating = [r.representative for r in records if r.count > r.bound]
     disagreeing = [r.representative for r in records if (r.count == r.bound) != r.is_maximal]
+    cord = tangled_cord(n)
+    unexpected = [w for w in maximal if w != cord]
+    checks = (
+        (f"{len(violating)} bound violation(s)", violating),
+        (f"{len(disagreeing)} count/parity disagreement(s)", disagreeing),
+        (f"{len(unexpected)} unexpected maximal class(es)", unexpected),
+        ("tangled cord not maximal", [] if cord in maximal else [cord]),
+    )
     return CensusSummary(
         n=n,
         total_classes=len(records),
         maximal_classes=maximal,
         bound_violations=len(violating),
         equivalence_failures=len(disagreeing),
-        violating=tuple(violating[:OFFENDERS_KEPT]),
-        disagreeing=tuple(disagreeing[:OFFENDERS_KEPT]),
+        failures=tuple(
+            (label, tuple(words[:OFFENDERS_KEPT])) for label, words in checks if words
+        ),
     )
 
 

@@ -45,6 +45,7 @@ from .words import Dow
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
+    "ENUMERATE_LIMIT",
     "HamiltonianSet",
     "fibonacci",
     "nonconsecutive_masks",
@@ -61,6 +62,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 8
+# keeps the enumeration's 2n - 1 nested calls well inside Python's recursion limit
+ENUMERATE_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -355,13 +358,18 @@ def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
     exactly the Hamiltonian sets.  Each path is kept as a PolygonalPath,
     keyed by its lower endpoint slot, and ``end[s]`` is the other end of the
     path that ends at slot ``s``; a take joins two paths and backtracking
-    splits them again.  The recursion is 2n - 1 calls deep.
+    splits them again.  The recursion is 2n - 1 calls deep, so words with
+    more than :data:`ENUMERATE_LIMIT` letters are refused.
 
     >>> from dowgraph import build_graph, parse
     >>> g = build_graph(parse("1212"))
     >>> [mask_to_bits(edge_mask(g, hs), 3) for hs in enumerate_hamiltonian_sets(g)]
     ['000', '100', '010', '001']
     """
+    if graph.n > ENUMERATE_LIMIT:
+        raise TooLargeError(
+            f"enumeration is capped at n = {ENUMERATE_LIMIT} letters; this word has n = {graph.n}"
+        )
     slots = graph.edge_slots
     letters = graph.vertices
     end = list(range(graph.n))

@@ -38,6 +38,7 @@ from .words import (
     _composition_cut,
     _is_tangled,
     canonicalize,
+    cord_pattern,
     delete_letters,
     occurrences,
     project,
@@ -52,7 +53,6 @@ __all__ = [
     "MaximalityReport",
     "even_split_witness",
     "paired_endpoints_witness",
-    "cord_pattern",
     "is_framing_cord",
     "find_framing_cord",
     "even_split_from_cord",
@@ -181,21 +181,6 @@ def paired_endpoints_witness(graph: AssemblyGraph) -> int | None:
     return None
 
 
-def cord_pattern(cord: Sequence[int]) -> tuple[int, ...]:
-    """The projection a framing cord t_1..t_s must produce:
-    t_1 t_2 t_1 t_3 t_2 ... t_s t_(s-1) t_s."""
-    s = len(cord)
-    if s == 0:
-        raise PreconditionViolatedError("a cord needs at least one letter")
-    if s == 1:
-        return (cord[0], cord[0])
-    out = [cord[0], cord[1], cord[0]]
-    for k in range(2, s):
-        out.extend((cord[k], cord[k - 1]))
-    out.append(cord[-1])
-    return tuple(out)
-
-
 def is_framing_cord(word: Dow, cord: Sequence[int]) -> bool:
     """Does the ordered letter sequence frame the word?
 
@@ -300,7 +285,7 @@ def even_split_from_cord(letters: Sequence[int], cord: Sequence[int]) -> frozens
         raise PreconditionViolatedError("every cord letter must occur exactly twice")
     if letters[0] != cord[0] or letters[-1] != cord[-1]:
         raise PreconditionViolatedError("the cord must open and close the word")
-    flat = tuple(a for a in letters if a in set(cord))
+    flat = tuple(a for a in letters if a in occ)
     if flat != cord_pattern(cord):
         raise PreconditionViolatedError("the cord letters do not interlock as a cord")
     sigma = _even_split_rec(letters, cord)

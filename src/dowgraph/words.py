@@ -27,6 +27,7 @@ from .errors import (
     EmptyWordError,
     InputError,
     NotDoubleOccurrenceError,
+    PreconditionViolatedError,
     SigmaEmptyError,
 )
 
@@ -45,6 +46,7 @@ __all__ = [
     "delete",
     "delete_letters",
     "project",
+    "cord_pattern",
     "tangled_cord",
     "is_tangled_cord",
     "split_composition",
@@ -293,30 +295,36 @@ def project(word: Dow, sigma: Iterable[int]) -> Projection:
     return Projection(tuple(a for a in word.letters if a in keep))
 
 
-def tangled_cord(n: int) -> Dow:
-    """The length-2n word 1213243... built by chaining overlapped pairs.
+def cord_pattern(cord: Sequence[int]) -> tuple[int, ...]:
+    """The tangled pattern t_1 t_2 t_1 t_3 t_2 ... t_s t_(s-1) t_s over an
+    ordered letter sequence: each letter starts inside the span of the one
+    before it and ends after it.  A framing cord's letters project to it."""
+    s = len(cord)
+    if s == 0:
+        raise PreconditionViolatedError("a cord needs at least one letter")
+    if s == 1:
+        return (cord[0], cord[0])
+    out = [cord[0], cord[1], cord[0]]
+    for k in range(2, s):
+        out.extend((cord[k], cord[k - 1]))
+    out.append(cord[-1])
+    return tuple(out)
 
-    Each letter k+1 starts strictly inside the span of letter k and ends
-    strictly after it, so consecutive letters interlock all the way down
-    the word.
+
+def tangled_cord(n: int) -> Dow:
+    """The length-2n word 1213243..., the tangled pattern over 1..n.
 
     >>> [render(tangled_cord(k)) for k in (1, 2, 3, 4)]
     ['11', '1212', '121323', '12132434']
     """
     if n < 1:
         raise InputError("n must be at least 1")
-    if n == 1:
-        return Dow((1, 1))
-    out = [1, 2, 1]
-    for k in range(3, n + 1):
-        out.extend((k, k - 1))
-    out.append(n)
-    return Dow(tuple(out))
+    return Dow(_tangled_letters(n))
 
 
 @lru_cache(maxsize=32)
 def _tangled_letters(n: int) -> tuple[int, ...]:
-    return tangled_cord(n).letters
+    return cord_pattern(range(1, n + 1))
 
 
 def _is_tangled(letters: Sequence[int]) -> bool:

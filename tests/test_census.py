@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -246,6 +247,59 @@ def test_run_census_three_letters():
     assert summary.maximal_classes == (dg.tangled_cord(3),)
     assert summary.bound_violations == 0
     assert summary.equivalence_failures == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_clean_census_has_no_failures(n):
+    assert run_census(n).failures == ()
+
+
+def _doctored_summary(census_by_n, doctor):
+    """The summary of ``census 3``'s real records with ``doctor`` applied."""
+    records = list(census_by_n[3].records)
+    return summarize_records(3, doctor(records))
+
+
+def _words(*texts):
+    return tuple(dg.parse(t) for t in texts)
+
+
+def test_summary_names_a_count_over_the_bound_and_a_false_maximal(census_by_n):
+    def doctor(records):
+        by_word = {dg.render(r.representative): k for k, r in enumerate(records)}
+        over, odd = by_word["121332"], by_word["123123"]
+        records[over] = replace(records[over], count=records[over].bound + 1)
+        records[odd] = replace(records[odd], is_maximal=True)
+        return records
+
+    summary = _doctored_summary(census_by_n, doctor)
+    assert (summary.bound_violations, summary.equivalence_failures) == (1, 1)
+    assert summary.failures == (
+        ("1 bound violation(s)", _words("121332")),
+        ("1 count/parity disagreement(s)", _words("123123")),
+        ("1 unexpected maximal class(es)", _words("123123")),
+    )
+
+
+def test_summary_names_a_missing_tangled_cord(census_by_n):
+    summary = _doctored_summary(
+        census_by_n, lambda records: [replace(r, count=r.bound - 1, is_maximal=False)
+                                      for r in records]
+    )
+    assert summary.maximal_classes == ()
+    assert summary.failures == (("tangled cord not maximal", (dg.tangled_cord(3),)),)
+
+
+def test_summary_keeps_the_first_few_of_many(census_by_n):
+    summary = _doctored_summary(
+        census_by_n, lambda records: [replace(r, count=r.bound + 1) for r in records]
+    )
+    classes = tuple(enumerate_dow_classes(3))
+    assert summary.failures == (
+        ("11 bound violation(s)", classes[: census.OFFENDERS_KEPT]),
+        # tc(3) is still maximal, but its count is off the bound now
+        ("1 count/parity disagreement(s)", (dg.tangled_cord(3),)),
+    )
 
 
 def test_summary_rejects_theorem_violations(census_by_n):

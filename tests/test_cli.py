@@ -404,6 +404,25 @@ def test_closed_stdout_pipe_exits_quietly():
     assert err == b""
 
 
+def test_enumerate_refuses_a_word_too_long_to_search(tmp_path):
+    # 1 1 2 2 ... 520 520 is a legal word, but the search recurses once per
+    # edge; it is refused before the output file is opened
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dg.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    word = [str(k) for k in range(1, 521) for _ in (0, 1)]
+    target = tmp_path / "sets.out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dowgraph.cli", "enumerate", *word, "--output", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        f"error: enumeration is capped at n = {dg.ENUMERATE_LIMIT} letters; "
+        "this word has n = 520"
+    ]
+    assert not target.exists()
+
+
 # ------------------------------------------------------------ exit codes
 
 def test_bad_word_is_exit_one(capsys):

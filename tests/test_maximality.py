@@ -154,6 +154,11 @@ def test_cord_pattern_is_a_tangled_cord():
         assert dg.is_tangled_cord(word)
 
 
+def test_cord_pattern_is_defined_once():
+    assert dg.maximality.cord_pattern is dg.words.cord_pattern is dg.cord_pattern
+    assert dg.__all__.count("cord_pattern") == 1
+
+
 FRAMED = "123415264536"
 
 

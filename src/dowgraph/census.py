@@ -239,13 +239,15 @@ def enumerate_dow_classes(n: int, unsafe_large: bool = False) -> list[Dow]:
     return _trie_classes(n)
 
 
-def _analyze_chunk(n: int, words: list[Dow]) -> list[CensusRecord]:
-    """Records for a run of canonical classes with n letters, in order.
+def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[CensusRecord]:
+    """Records for the classes below one trie prefix, in class order; one
+    worker task, or with the empty prefix the whole census.
 
     The counts come from one batch of the counting programme, which shares
     the work along the common prefixes of the sorted classes; every other
     field comes from the verdict core of :func:`analyze`.
     """
+    words = _trie_classes(n, prefix)
     bound = fibonacci(2 * n + 1) - 1
     records = []
     for word, count in zip(words, count_words(words)):
@@ -263,11 +265,6 @@ def _analyze_chunk(n: int, words: list[Dow]) -> list[CensusRecord]:
     return records
 
 
-def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[CensusRecord]:
-    """Records for the classes below one trie prefix; one worker task."""
-    return _analyze_chunk(n, _trie_classes(n, prefix))
-
-
 def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list[CensusRecord]:
     """Analyze every class; record order always matches the class order.
 
@@ -281,7 +278,7 @@ def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list
     # more workers than CPUs or tasks would only cost start-up time
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _analyze_chunk(n, enumerate_dow_classes(n, unsafe_large=unsafe_large))
+        return _analyze_subtrie(n, ())
     # imported here so that one-process runs skip its start-up cost
     import multiprocessing
 

@@ -36,10 +36,9 @@ class AssemblyGraph:
     """Incidence data derived from a word; build with :func:`build_graph`."""
 
     word: Dow
-    # vertex -> its two straight-through pairs, each a frozenset of edge indices
+    # vertex -> its two straight-through pairs, each a frozenset of edge
+    # indices; together they hold every edge at the vertex, virtual ones too
     straight_through: dict[int, tuple[frozenset[int], frozenset[int]]]
-    # vertex -> all incident edge indices, virtual ones included
-    incident: dict[int, frozenset[int]]
     # per real edge e_i (slot i-1): endpoints as 0-based vertex slots, for
     # tight loops that should not hash letters
     edge_slots: tuple[tuple[int, int], ...]
@@ -62,19 +61,17 @@ class AssemblyGraph:
 
     def real_edges_at(self, v: int) -> tuple[int, ...]:
         """Incident real edge indices at v, ascending; a loop appears once."""
-        return tuple(sorted(i for i in self.incident[v] if 1 <= i <= self.num_real_edges))
+        p, q = self.straight_through[v]
+        return tuple(sorted(i for i in p | q if 1 <= i <= self.num_real_edges))
 
 
 def build_graph(word: Dow) -> AssemblyGraph:
     """Assemble the incidence structures for ``word``."""
     occ = occurrences(word)
     two_n = len(word.letters)
-    straight: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-    incident: dict[int, frozenset[int]] = {}
-    for v in word.alphabet:
-        i, j = occ[v]
-        straight[v] = (frozenset((i - 1, i)), frozenset((j - 1, j)))
-        incident[v] = frozenset((i - 1, i, j - 1, j))
+    straight = {
+        v: (frozenset((i - 1, i)), frozenset((j - 1, j))) for v, (i, j) in occ.items()
+    }
     verts = tuple(sorted(word.alphabet))
     slot = {v: k for k, v in enumerate(verts)}
     edge_slots = tuple(
@@ -83,7 +80,6 @@ def build_graph(word: Dow) -> AssemblyGraph:
     return AssemblyGraph(
         word=word,
         straight_through=straight,
-        incident=incident,
         edge_slots=edge_slots,
         vertices=verts,
     )
@@ -100,7 +96,8 @@ def are_neighbors(graph: AssemblyGraph, v: int, a: int, b: int) -> bool:
         raise NotIncidentError(f"{v} is not a vertex of this graph")
     if a == b:
         raise InputError("edges must be distinct")
-    here = graph.incident[v]
+    p, q = graph.straight_through[v]
+    here = p | q
     if a not in here:
         raise NotIncidentError(f"edge e_{a} is not incident to vertex {v}")
     if b not in here:

@@ -131,11 +131,11 @@ def even_split_witness(word: Dow) -> frozenset[int] | None:
     >>> even_split_witness(Dow((1, 2, 1, 2))) is None
     True
     """
-    return _even_split(occurrences(word).pairs)
+    return _even_split(occurrences(word))
 
 
 def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
-    # even_split_witness on a word's occurrence index
+    # even_split_witness on the occurrences of a word
     letters = sorted(pairs)
     spots = [pairs[a] for a in letters]
     n = len(letters)
@@ -195,7 +195,7 @@ def is_framing_cord(word: Dow, cord: Sequence[int]) -> bool:
         return False
     if word.letters[0] != cord[0] or word.letters[-1] != cord[-1]:
         return False
-    return project(word, set(cord)).content == cord_pattern(cord)
+    return project(word, set(cord)) == cord_pattern(cord)
 
 
 def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
@@ -206,11 +206,11 @@ def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
     run gets stuck before the end of the word exactly when some proper
     prefix is a complete word of its own.
     """
-    return _framing_cord(word, occurrences(word).pairs)
+    return _framing_cord(word, occurrences(word))
 
 
 def _framing_cord(word: Dow, occ: dict[int, tuple[int, int]]) -> tuple[int, ...] | None:
-    # find_framing_cord on a word and its occurrence index
+    # find_framing_cord on a word and its occurrences
     total = len(word.letters)
     first = word.letters[0]
     cord = [first]
@@ -333,7 +333,7 @@ def _verdicts(
     cord frames the word, and a cord exists exactly when the word is no
     composition.
     """
-    pairs = occurrences(word).pairs
+    pairs = occurrences(word)
     sigma = _even_split(pairs)
     split = None if sigma is None else (sigma, _tangled_projection(word, sigma))
     is_composition = _composition_cut(word.letters) is not None
@@ -347,17 +347,17 @@ def _verdicts(
 
 @dataclass(frozen=True)
 class EvenSplit:
-    """A witness subset, its projection, and the verified cord flag."""
+    """A witness subset and its projection, which the verdict core has
+    already checked to be a tangled cord; the JSON form says so."""
 
     sigma: frozenset[int]
     projection: Dow
-    is_tangled_cord: bool
 
     def to_json_dict(self) -> dict:
         return {
             "sigma": sorted(self.sigma),
             "projection": render(self.projection),
-            "is_tangled_cord": self.is_tangled_cord,
+            "is_tangled_cord": True,
         }
 
 
@@ -368,18 +368,33 @@ class MaximalityReport:
     ``word`` is the canonical form of the analyzed word, and all letters
     mentioned elsewhere in the report refer to that relabeling.  ``count``
     is None when n exceeded the cross-check limit and counting was
-    skipped.
+    skipped.  The verdict is the minimal even split: the word is maximal
+    exactly when it has none.
     """
 
     word: Dow
-    n: int
     count: int | None
-    bound: int
-    is_maximal: bool
-    failing_sigma: frozenset[int] | None
     is_composition: bool
     framing_cord: tuple[int, ...] | None
     minimal_even_split: EvenSplit | None
+
+    @property
+    def n(self) -> int:
+        return self.word.n
+
+    @property
+    def bound(self) -> int:
+        """F_(2n+1) - 1, the most Hamiltonian sets any word with n letters has."""
+        return fibonacci(2 * self.n + 1) - 1
+
+    @property
+    def is_maximal(self) -> bool:
+        return self.minimal_even_split is None
+
+    @property
+    def failing_sigma(self) -> frozenset[int] | None:
+        split = self.minimal_even_split
+        return None if split is None else split.sigma
 
     @property
     def consistent(self) -> bool:
@@ -417,22 +432,17 @@ def analyze(word: Dow, cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT) -> Ma
     a hard failure on disagreement should check it.
     """
     canonical = canonicalize(word)
-    n = canonical.n
     minimal, is_composition, cord = _verdicts(canonical)
     split = None
     if minimal is not None:
         sigma, projection = minimal
-        split = EvenSplit(sigma, Dow(projection), is_tangled_cord=True)
+        split = EvenSplit(sigma, Dow(projection))
     count = None
-    if n <= cross_check_limit:
+    if canonical.n <= cross_check_limit:
         count = count_hamiltonian_sets(build_graph(canonical))
     return MaximalityReport(
         word=canonical,
-        n=n,
         count=count,
-        bound=fibonacci(2 * n + 1) - 1,
-        is_maximal=split is None,
-        failing_sigma=None if split is None else split.sigma,
         is_composition=is_composition,
         framing_cord=cord,
         minimal_even_split=split,

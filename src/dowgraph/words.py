@@ -33,10 +33,8 @@ from .errors import (
 
 __all__ = [
     "Dow",
-    "OccurrenceIndex",
     "Segment",
     "SubwordSplit",
-    "Projection",
     "parse",
     "render",
     "occurrences",
@@ -95,25 +93,6 @@ class Dow:
         return render(self)
 
 
-@dataclass(frozen=True, eq=False)
-class OccurrenceIndex:
-    """First and second occurrence positions (1-based) for each letter."""
-
-    pairs: dict[int, tuple[int, int]]
-
-    def first(self, a: int) -> int:
-        return self.pairs[a][0]
-
-    def second(self, a: int) -> int:
-        return self.pairs[a][1]
-
-    def __getitem__(self, a: int) -> tuple[int, int]:
-        return self.pairs[a]
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.pairs
-
-
 @dataclass(frozen=True)
 class Segment:
     """One maximal run of surviving letters, with its original position span.
@@ -141,16 +120,6 @@ class SubwordSplit:
 
     def all_even(self) -> bool:
         return all(len(s.letters) % 2 == 0 for s in self.segments)
-
-
-@dataclass(frozen=True)
-class Projection:
-    """The occurrences of a chosen letter subset, kept in original order."""
-
-    content: tuple[int, ...]
-
-    def to_dow(self) -> Dow:
-        return Dow(self.content)
 
 
 _COMPACT_RE = re.compile(r"^[0-9]+$")
@@ -193,11 +162,12 @@ def render(word: Dow) -> str:
     return " ".join(str(a) for a in word.letters)
 
 
-def occurrences(word: Dow) -> OccurrenceIndex:
-    """Map each letter to its pair of 1-based positions.
+def occurrences(word: Dow) -> dict[int, tuple[int, int]]:
+    """Map each letter to its first and second 1-based positions, in the
+    order the second occurrences appear.
 
-    >>> occurrences(parse("1212"))[2]
-    (2, 4)
+    >>> occurrences(parse("1212"))
+    {1: (1, 3), 2: (2, 4)}
     """
     pairs: dict[int, tuple[int, int]] = {}
     seen: dict[int, int] = {}
@@ -206,7 +176,7 @@ def occurrences(word: Dow) -> OccurrenceIndex:
             pairs[a] = (seen[a], pos)
         else:
             seen[a] = pos
-    return OccurrenceIndex(pairs)
+    return pairs
 
 
 def _first_occurrence_labels(letters: Sequence[int]) -> tuple[int, ...]:
@@ -283,16 +253,17 @@ def delete(word: Dow, sigma: Iterable[int]) -> SubwordSplit:
     return delete_letters(word.letters, sigma)
 
 
-def project(word: Dow, sigma: Iterable[int]) -> Projection:
-    """Keep only occurrences of ``sigma`` letters, in original order.
+def project(word: Dow, sigma: Iterable[int]) -> tuple[int, ...]:
+    """The occurrences of ``sigma`` letters, in word order; wrap the tuple
+    in :class:`Dow` to treat the projection as a word.
 
-    >>> project(parse("1342134856757286"), {2, 5, 8}).content
+    >>> project(parse("1342134856757286"), {2, 5, 8})
     (2, 8, 5, 5, 2, 8)
     """
     keep = frozenset(sigma)
     if not keep:
         raise SigmaEmptyError("the projected letter set must be non-empty")
-    return Projection(tuple(a for a in word.letters if a in keep))
+    return tuple(a for a in word.letters if a in keep)
 
 
 def cord_pattern(cord: Sequence[int]) -> tuple[int, ...]:

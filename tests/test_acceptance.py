@@ -93,8 +93,8 @@ def test_07_greedy_cord_frames_every_unsplit_word(census_by_n):
             assert cord is not None
             assert dg.is_framing_cord(word, cord)
             occ = dg.occurrences(word)
-            assert occ.first(cord[0]) == 1
-            assert occ.second(cord[-1]) == 2 * n
+            assert occ[cord[0]][0] == 1
+            assert occ[cord[-1]][1] == 2 * n
 
 
 def test_08_cord_construction_yields_even_splits(census_by_n):
@@ -130,7 +130,7 @@ def test_09_minimal_splits_project_to_tangled_cords(census_by_n):
             assert result is not None
             sigma, projection = result
             assert dg.is_tangled_cord(projection)
-            assert dg.project(record.representative, sigma).to_dow() == projection
+            assert dg.Dow(dg.project(record.representative, sigma)) == projection
             checked += 1
     assert checked > 0
 
@@ -161,7 +161,7 @@ def test_11_worked_examples():
         (1, 3), (5, 7), (10, 11), (13, 13), (16, 16),
     ]
     assert split.lengths() == (3, 3, 2, 1, 1)
-    assert dg.project(word, sigma).content == (2, 8, 5, 5, 2, 8)
+    assert dg.project(word, sigma) == (2, 8, 5, 5, 2, 8)
 
     framed = dg.parse("123415264536")
     assert dg.find_framing_cord(framed) == (1, 3, 6)

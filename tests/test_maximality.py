@@ -49,7 +49,7 @@ def _scan_witness(word):
     ``combinations`` order, and tests the gaps around the deleted positions
     directly, so a maximal word costs 2^n - 2 subset tests.
     """
-    occ = dg.occurrences(word).pairs
+    occ = dg.occurrences(word)
     letters = sorted(word.alphabet)
     total = len(word.letters)
     for size in range(1, len(letters)):
@@ -148,10 +148,23 @@ def test_cord_pattern_values():
 
 
 def test_cord_pattern_is_a_tangled_cord():
+    written_out = ["11", "1212", "121323", "12132434"]
+    assert [dg.Dow(dg.cord_pattern(range(1, s + 1))) for s in range(1, 5)] == [
+        dg.parse(text) for text in written_out
+    ]
+    # the tangled cord over 1..s: letters open in order, consecutive letters
+    # interlock, and every other pair lies side by side; that fixes the
+    # order of all 2s positions, so it fixes the word
     for s in range(1, 9):
-        letters = tuple(range(1, s + 1))
-        word = dg.Dow(dg.cord_pattern(letters))
-        assert dg.is_tangled_cord(word)
+        occ = dg.occurrences(dg.Dow(dg.cord_pattern(range(1, s + 1))))
+        assert sorted(occ) == list(range(1, s + 1))
+        for a in range(1, s + 1):
+            for b in range(a + 1, s + 1):
+                (a1, a2), (b1, b2) = occ[a], occ[b]
+                if b == a + 1:
+                    assert a1 < b1 < a2 < b2
+                else:
+                    assert a2 < b1
 
 
 def test_cord_pattern_is_defined_once():
@@ -210,14 +223,14 @@ def test_greedy_cord_straddles_and_reaches_furthest(word):
         return
     occ = dg.occurrences(word)
     for prev, cur in zip(cord, cord[1:]):
-        end = occ.second(prev)
-        assert occ.first(cur) < end < occ.second(cur)
+        end = occ[prev][1]
+        assert occ[cur][0] < end < occ[cur][1]
         # no straddling letter reaches further right
         for a in word.alphabet:
-            if occ.first(a) < end < occ.second(a):
-                assert occ.second(a) <= occ.second(cur)
-    assert occ.first(cord[0]) == 1
-    assert occ.second(cord[-1]) == len(word)
+            if occ[a][0] < end < occ[a][1]:
+                assert occ[a][1] <= occ[cur][1]
+    assert occ[cord[0]][0] == 1
+    assert occ[cord[-1]][1] == len(word)
 
 
 # ---------------------------------------------------------- even splits
@@ -274,7 +287,7 @@ def test_minimal_split_projects_to_a_cord(word):
     if result is not None:
         sigma, projection = result
         assert dg.is_tangled_cord(projection)
-        assert dg.project(word, sigma).to_dow() == projection
+        assert dg.Dow(dg.project(word, sigma)) == projection
 
 
 # -------------------------------------------------------------- analyze
@@ -305,7 +318,7 @@ def test_report_on_composition():
     assert split is not None
     assert split.sigma == frozenset({1})
     assert split.projection == dg.parse("11")
-    assert split.is_tangled_cord
+    assert dg.is_tangled_cord(split.projection)
     assert report.consistent
 
 

@@ -93,7 +93,7 @@ def test_occurrences_example():
     assert occ[1] == (1, 3)
     assert occ[2] == (2, 5)
     assert occ[3] == (4, 6)
-    assert occ.first(3) == 4 and occ.second(3) == 6
+    assert occ[3][0] == 4 and occ[3][1] == 6
 
 
 @given(dows())
@@ -204,8 +204,8 @@ def test_delete_worked_example():
 
 def test_project_worked_example():
     proj = dg.project(dg.parse(WORKED_WORD), {2, 5, 8})
-    assert proj.content == (2, 8, 5, 5, 2, 8)
-    assert dg.render(proj.to_dow()) == "285528"
+    assert proj == (2, 8, 5, 5, 2, 8)
+    assert dg.render(dg.Dow(proj)) == "285528"
 
 
 def test_empty_sigma_is_refused():
@@ -224,7 +224,7 @@ def test_delete_and_project_account_for_every_position(word, data):
     )
     split = dg.delete(word, sigma)
     proj = dg.project(word, sigma)
-    assert len(proj.content) == 2 * len(sigma)
+    assert len(proj) == 2 * len(sigma)
     assert sum(split.lengths()) == len(word) - 2 * len(sigma)
     for seg in split.segments:
         assert seg.letters
@@ -244,7 +244,7 @@ def test_delete_and_project_account_for_every_position(word, data):
 
 def test_project_whole_alphabet_is_identity():
     word = dg.parse("121323")
-    assert dg.project(word, word.alphabet).content == word.letters
+    assert dg.project(word, word.alphabet) == word.letters
 
 
 # -------------------------------------------------------- tangled cords
@@ -279,11 +279,11 @@ def test_tangled_cord_reads_same_backwards(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_tangled_cord_occurrences_interlock(n):
     occ = dg.occurrences(dg.tangled_cord(n))
-    seconds = [occ.second(k) for k in range(1, n + 1)]
+    seconds = [occ[k][1] for k in range(1, n + 1)]
     assert seconds == sorted(seconds)
     for k in range(1, n):
-        below = occ.second(k - 1) if k >= 2 else 1
-        assert below < occ.first(k + 1) < occ.second(k)
+        below = occ[k - 1][1] if k >= 2 else 1
+        assert below < occ[k + 1][0] < occ[k][1]
 
 
 def test_is_tangled_cord_up_to_renaming_and_reversal():

@@ -18,16 +18,11 @@ from typing import TextIO
 from .census import census_records, summarize_records, write_records_csv
 from .errors import InputError, InternalCheckError
 from .graphs import build_graph, to_dot
-from .hamiltonian import (
-    HamiltonianSet,
-    count_hamiltonian_sets,
-    edge_mask,
-    enumerate_hamiltonian_sets,
-    format_hamiltonian_set,
-    mask_to_bits,
-)
+from .hamiltonian import _check_search_depth, _search, count_hamiltonian_sets, mask_to_bits
 from .maximality import DEFAULT_CROSS_CHECK_LIMIT, analyze, find_framing_cord
 from .words import parse, render, split_composition, tangled_cord
+# bench/spans.py wraps both here by name; they stay importable
+from .hamiltonian import edge_mask, enumerate_hamiltonian_sets  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,38 +146,30 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_entry(mask: str, hamset: HamiltonianSet) -> str:
-    """One entry of the ``enumerate`` list, laid out as ``json.dumps(...,
-    indent=2)`` lays it out; masks are 0/1 strings and vertices integers,
-    so nothing needs escaping."""
-    paths = ",\n".join(
-        "      [\n        " + ",\n        ".join(map(str, p.vertices)) + "\n      ]"
-        for p in hamset.sorted_paths()
-    )
-    return f'  {{\n    "mask": "{mask}",\n    "paths": [\n{paths}\n    ]\n  }}'
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     graph = build_graph(parse(" ".join(args.word)))
-
-    def mask_of(hs: HamiltonianSet) -> str:
-        # the sets come straight from the enumeration, so skip re-validating them
-        return mask_to_bits(edge_mask(graph, hs, check=False), graph.num_real_edges)
-
-    # each set is written as it is formatted; the JSON layout is exactly
-    # that of json.dumps(payload, indent=2), whose pure-Python encoder this
-    # avoids, and the list is never empty (the all-singletons set is in it)
-    sets = enumerate_hamiltonian_sets(graph)
+    _check_search_depth(graph)  # before --output is opened
+    width = graph.num_real_edges
+    # each set is written as the search reaches it, from fragments made once
+    # per path.  The JSON layout is exactly that of json.dumps(payload,
+    # indent=2), whose pure-Python encoder this avoids; the list is never
+    # empty, and mask 0 (all singletons) opens it.
     with _output(args.output) as out:
+        write = out.write
         if args.format == "json":
-            separator = "[\n"
-            for hs in sets:
-                out.write(separator + _json_entry(mask_of(hs), hs))
-                separator = ",\n"
-            out.write("\n]\n")
+
+            def visit(mask: int, live: list[str | None]) -> None:
+                write((",\n" if mask else "[\n") + '  {\n    "mask": "' + mask_to_bits(mask, width)
+                      + '",\n    "paths": [\n' + ",\n".join(filter(None, live)) + "\n    ]\n  }")
+
+            _search(graph, visit, lambda p: "      [\n        "
+                    + ",\n        ".join(map(str, p.vertices)) + "\n      ]")
+            write("\n]\n")
         else:
-            for hs in sets:
-                out.write(f"{mask_of(hs)}  {format_hamiltonian_set(hs)}\n")
+            _search(graph,
+                    lambda mask, live: write(f"{mask_to_bits(mask, width)}  "
+                                             + "".join(filter(None, live)) + "\n"),
+                    lambda p: "[" + "-".join(map(str, p.vertices)) + "]")
     return 0
 
 

@@ -20,17 +20,19 @@ on the prefix read so far, so a batch shares the steps of common prefixes.
 
 Enumeration is a depth-first search over the edges that joins paths as it
 takes edges and refuses every loop and cycle, so it visits only the
-Hamiltonian sets, in ascending fingerprint order.  The mask scan, which
-runs :func:`hamiltonian_set_from_mask` over the Fibonacci-many masks of
-:func:`nonconsecutive_masks`, is the decoder of a single fingerprint and,
-with the brute-force path search, the oracle both engines are tested
-against.
+Hamiltonian sets, in ascending fingerprint order.  It builds each set's
+fingerprint as it goes and hands it, with the set's live paths, to a
+visitor callback, so a consumer can write each set as it is reached and
+hold no list.  The mask scan, which runs :func:`hamiltonian_set_from_mask`
+over the Fibonacci-many masks of :func:`nonconsecutive_masks`, is the
+decoder of a single fingerprint and, with the brute-force path search, the
+oracle both engines are tested against.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -144,13 +146,9 @@ def is_hamiltonian_set(graph: AssemblyGraph, candidate: HamiltonianSet) -> bool:
     return seen == set(graph.vertices)
 
 
-def edge_mask(graph: AssemblyGraph, hamset: HamiltonianSet, *, check: bool = True) -> int:
-    """Fingerprint a Hamiltonian set as its used-edge bitmask.
-
-    ``check=False`` skips re-validating the set, for a caller that holds a
-    set the depth-first search of :func:`enumerate_hamiltonian_sets` built.
-    """
-    if check and not is_hamiltonian_set(graph, hamset):
+def edge_mask(graph: AssemblyGraph, hamset: HamiltonianSet) -> int:
+    """Fingerprint a Hamiltonian set as its used-edge bitmask."""
+    if not is_hamiltonian_set(graph, hamset):
         raise InvalidHamiltonianSetError("not a Hamiltonian set of this graph")
     mask = 0
     for path in hamset.paths:
@@ -349,39 +347,62 @@ def _step(
 
 
 def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
-    """All Hamiltonian sets, in ascending fingerprint order.
-
-    A depth-first search decides the edges from e_(2n-1) down to e_1,
-    leaving each edge out before taking it, which visits the masks in
-    ascending order.  An edge is taken when the edge above it was not, it
-    is no loop, and its ends lie on different paths, so the leaves are
-    exactly the Hamiltonian sets.  Each path is kept as a PolygonalPath,
-    keyed by its lower endpoint slot, and ``end[s]`` is the other end of the
-    path that ends at slot ``s``; a take joins two paths and backtracking
-    splits them again.  The recursion is 2n - 1 calls deep, so words with
-    more than :data:`ENUMERATE_LIMIT` letters are refused.
+    """All Hamiltonian sets, in ascending fingerprint order: the sets the
+    search of :func:`_search` visits, collected by a visitor.  Words with
+    more than :data:`ENUMERATE_LIMIT` letters raise :class:`TooLargeError`.
 
     >>> from dowgraph import build_graph, parse
     >>> g = build_graph(parse("1212"))
     >>> [mask_to_bits(edge_mask(g, hs), 3) for hs in enumerate_hamiltonian_sets(g)]
     ['000', '100', '010', '001']
     """
+    out: list[HamiltonianSet] = []
+    _search(graph, lambda mask, live: out.append(HamiltonianSet(frozenset(filter(None, live)))),
+            lambda path: path)
+    return out
+
+
+def _check_search_depth(graph: AssemblyGraph) -> None:
     if graph.n > ENUMERATE_LIMIT:
         raise TooLargeError(
             f"enumeration is capped at n = {ENUMERATE_LIMIT} letters; this word has n = {graph.n}"
         )
+
+
+def _search(
+    graph: AssemblyGraph,
+    visit: Callable[[int, list], object],
+    label: Callable[[PolygonalPath], object],
+) -> None:
+    """Call ``visit(mask, live)`` at each Hamiltonian set, in ascending
+    fingerprint order.
+
+    A depth-first search decides the edges from e_(2n-1) down to e_1,
+    leaving each edge out before taking it, and sets bit i-1 of ``mask``
+    when it takes e_i.  An edge is taken when the edge above it was not, it
+    is no loop, and its ends lie on different paths, so the leaves are
+    exactly the Hamiltonian sets.  A take joins two paths into a new
+    PolygonalPath and calls ``label`` on it once.  Slots follow vertex
+    order, and ``live[s]`` holds the (truthy) label of the path whose first
+    vertex has slot ``s``, else None, so ``filter(None, live)`` yields a
+    set's paths ordered by first vertex; the list is reused, so read it
+    before the visit returns.  ``end[s]`` is the other end of the path that
+    ends at slot ``s``.  The recursion is 2n - 1 calls deep, so words with
+    more than :data:`ENUMERATE_LIMIT` letters are refused.
+    """
+    _check_search_depth(graph)
     slots = graph.edge_slots
     letters = graph.vertices
     end = list(range(graph.n))
-    live = {s: PolygonalPath((v,), ()) for s, v in enumerate(letters)}
-    out: list[HamiltonianSet] = []
+    paths = [PolygonalPath((v,), ()) for v in letters]
+    live = [label(p) for p in paths]
 
-    def decide(i: int, above_taken: bool) -> None:
+    def decide(i: int, above_taken: bool, mask: int) -> None:
         # edges e_(i+1)..e_(2n-1) are decided; decide e_i
         if i == 0:
-            out.append(HamiltonianSet(frozenset(live.values())))
+            visit(mask, live)
             return
-        decide(i - 1, False)
+        decide(i - 1, False, mask)
         if above_taken:
             return
         u, v = slots[i - 1]
@@ -389,23 +410,24 @@ def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
         if u == v or a == v:
             return
         # degree <= 2 keeps u and v path ends: join a..u with v..b
-        pa, pb = live.pop(min(a, u)), live.pop(min(b, v))
+        ka, kb, key = min(a, u), min(b, v), min(a, b)
+        pa, pb, la, lb = paths[ka], paths[kb], live[ka], live[kb]
         va, ea = pa.vertices, pa.edges
         if va[-1] != letters[u]:
             va, ea = va[::-1], ea[::-1]
         vb, eb = pb.vertices, pb.edges
         if vb[0] != letters[v]:
             vb, eb = vb[::-1], eb[::-1]
-        key = min(a, b)
-        live[key] = PolygonalPath(va + vb, ea + (i,) + eb)
+        live[ka] = live[kb] = None
+        path = paths[key] = PolygonalPath(va + vb, ea + (i,) + eb)
+        live[key] = label(path)
         end[a], end[b] = b, a
-        decide(i - 1, True)
+        decide(i - 1, True, mask | 1 << (i - 1))
         end[a], end[b] = u, v
-        del live[key]
-        live[min(a, u)], live[min(b, v)] = pa, pb
+        live[key] = None
+        paths[ka], paths[kb], live[ka], live[kb] = pa, pb, la, lb
 
-    decide(graph.num_real_edges, False)
-    return out
+    decide(graph.num_real_edges, False, 0)
 
 
 def _all_polygonal_paths(graph: AssemblyGraph) -> list[PolygonalPath]:

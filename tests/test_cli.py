@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -192,9 +196,19 @@ def _old_enumerate_output(word, fmt):
     return "".join(f"{mask}  {dg.format_hamiltonian_set(hs)}\n" for mask, hs in zip(masks, sets))
 
 
+# the benchmark's reference table: enumerate JSON sha256 per pool word
+_REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
+)["enumerate"]
+_POOL = [
+    entry for n in ("9", "10") for entry in [_REFERENCE["tangled"][n], *_REFERENCE["random"][n]]
+]
+
 _WRITER_WORDS = (
     [dg.render(w) for n in range(1, 5) for w in dg.enumerate_dow_classes(n)]
     + [dg.render(dg.tangled_cord(6)), "7 3 9 7 12 3 9 5 12 40 5 2 40 2"]
+    # two random n = 9 words of the pool; text has no reference bytes
+    + [" ".join(map(str, entry["word"])) for entry in _REFERENCE["random"]["9"][:2]]
 )
 
 
@@ -209,6 +223,33 @@ def test_enumerate_writer_matches_the_payload_layout(capsys, tmp_path, fmt):
                                "--output", str(target))
         assert (code, out) == (0, "")
         assert target.read_bytes() == expected.encode(), word
+
+
+@pytest.mark.parametrize("entry", _POOL, ids=lambda e: dg.render(dg.Dow(tuple(e["word"]))))
+def test_enumerate_json_matches_the_benchmark_reference(capsys, entry):
+    code, out, err = run_cli(capsys, "enumerate", *map(str, entry["word"]), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_streams_in_bounded_memory(fmt):
+    # tc(9) has 4,180 sets; holding them, or their text, takes megabytes
+    word = dg.render(dg.tangled_cord(9))
+    with contextlib.redirect_stdout(_Discard()):
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", word, "--format", fmt])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------- tc

@@ -1,7 +1,8 @@
 """Exact counting and enumeration of Hamiltonian sets of polygonal paths.
 
 A Hamiltonian set of a graph is a collection of vertex-disjoint polygonal
-paths, singletons allowed, that together visit every vertex.  Each such set
+paths, singletons allowed, that together visit every vertex; here it is a
+``frozenset`` of :class:`~dowgraph.graphs.PolygonalPath` objects.  Each set
 is fingerprinted by the bitmask of transversal edges it uses: bit i-1 of the
 mask stands for edge e_i, so masks range over 2n-1 bits.
 
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -48,7 +48,6 @@ from .words import Dow
 __all__ = [
     "BRUTE_FORCE_LIMIT",
     "ENUMERATE_LIMIT",
-    "HamiltonianSet",
     "fibonacci",
     "nonconsecutive_masks",
     "alternating_mask",
@@ -66,19 +65,6 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 8
 # keeps the enumeration's 2n - 1 nested calls well inside Python's recursion limit
 ENUMERATE_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class HamiltonianSet:
-    """A vertex-disjoint cover of all vertices by polygonal paths."""
-
-    paths: frozenset[PolygonalPath]
-
-    def total_edges(self) -> int:
-        return sum(len(p.edges) for p in self.paths)
-
-    def sorted_paths(self) -> tuple[PolygonalPath, ...]:
-        return tuple(sorted(self.paths, key=lambda p: (p.vertices, p.edges)))
 
 
 def fibonacci(k: int) -> int:
@@ -133,10 +119,10 @@ def mask_to_bits(mask: int, num_edges: int) -> str:
     return bin(mask & ((1 << num_edges) - 1) | 1 << num_edges)[:2:-1]
 
 
-def is_hamiltonian_set(graph: AssemblyGraph, candidate: HamiltonianSet) -> bool:
+def is_hamiltonian_set(graph: AssemblyGraph, candidate: frozenset[PolygonalPath]) -> bool:
     """Polygonal paths, pairwise vertex-disjoint, covering every vertex."""
     seen: set[int] = set()
-    for path in candidate.paths:
+    for path in candidate:
         if not is_polygonal(graph, path):
             return False
         for v in path.vertices:
@@ -146,12 +132,12 @@ def is_hamiltonian_set(graph: AssemblyGraph, candidate: HamiltonianSet) -> bool:
     return seen == set(graph.vertices)
 
 
-def edge_mask(graph: AssemblyGraph, hamset: HamiltonianSet) -> int:
+def edge_mask(graph: AssemblyGraph, hamset: frozenset[PolygonalPath]) -> int:
     """Fingerprint a Hamiltonian set as its used-edge bitmask."""
     if not is_hamiltonian_set(graph, hamset):
         raise InvalidHamiltonianSetError("not a Hamiltonian set of this graph")
     mask = 0
-    for path in hamset.paths:
+    for path in hamset:
         for e in path.edges:
             mask |= 1 << (e - 1)
     return mask
@@ -186,7 +172,7 @@ def _selects_disjoint_paths(graph: AssemblyGraph, mask: int) -> bool:
     return True
 
 
-def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> HamiltonianSet | None:
+def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[PolygonalPath] | None:
     """Decode a mask back into its Hamiltonian set, or None.
 
     None means the selected edges do not induce vertex-disjoint paths.  A
@@ -232,7 +218,7 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> HamiltonianSet
     for v in graph.vertices:
         if v not in adjacency:
             paths.append(PolygonalPath((v,), ()))
-    return HamiltonianSet(frozenset(paths))
+    return frozenset(paths)
 
 
 def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
@@ -346,7 +332,7 @@ def _step(
     return nxt
 
 
-def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
+def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[frozenset[PolygonalPath]]:
     """All Hamiltonian sets, in ascending fingerprint order: the sets the
     search of :func:`_search` visits, collected by a visitor.  Words with
     more than :data:`ENUMERATE_LIMIT` letters raise :class:`TooLargeError`.
@@ -356,9 +342,8 @@ def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
     >>> [mask_to_bits(edge_mask(g, hs), 3) for hs in enumerate_hamiltonian_sets(g)]
     ['000', '100', '010', '001']
     """
-    out: list[HamiltonianSet] = []
-    _search(graph, lambda mask, live: out.append(HamiltonianSet(frozenset(filter(None, live)))),
-            lambda path: path)
+    out: list[frozenset[PolygonalPath]] = []
+    _search(graph, lambda mask, live: out.append(frozenset(filter(None, live))), lambda path: path)
     return out
 
 
@@ -457,7 +442,7 @@ def _all_polygonal_paths(graph: AssemblyGraph) -> list[PolygonalPath]:
     return sorted(found, key=lambda p: (p.vertices, p.edges))
 
 
-def brute_force_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
+def brute_force_hamiltonian_sets(graph: AssemblyGraph) -> list[frozenset[PolygonalPath]]:
     """Independent reference enumeration, no fingerprints involved.
 
     Builds every polygonal path by vertex-by-vertex extension, then covers
@@ -474,12 +459,12 @@ def brute_force_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
         for v in p.vertices:
             by_vertex[v].append(p)
 
-    out: list[HamiltonianSet] = []
+    out: list[frozenset[PolygonalPath]] = []
     chosen: list[PolygonalPath] = []
 
     def cover(uncovered: frozenset[int]) -> None:
         if not uncovered:
-            out.append(HamiltonianSet(frozenset(chosen)))
+            out.append(frozenset(chosen))
             return
         v = min(uncovered)
         chosen.append(PolygonalPath((v,), ()))
@@ -496,8 +481,7 @@ def brute_force_hamiltonian_sets(graph: AssemblyGraph) -> list[HamiltonianSet]:
     return out
 
 
-def format_hamiltonian_set(hamset: HamiltonianSet) -> str:
-    """Bracketed vertex runs, e.g. ``[1-2-3][4]``."""
-    return "".join(
-        "[" + "-".join(map(str, p.vertices)) + "]" for p in hamset.sorted_paths()
-    )
+def format_hamiltonian_set(hamset: frozenset[PolygonalPath]) -> str:
+    """Bracketed vertex runs, e.g. ``[1-2-3][4]``, in ``(vertices, edges)`` order."""
+    paths = sorted(hamset, key=lambda p: (p.vertices, p.edges))
+    return "".join("[" + "-".join(map(str, p.vertices)) + "]" for p in paths)

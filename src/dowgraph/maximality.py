@@ -186,16 +186,16 @@ def is_framing_cord(word: Dow, cord: Sequence[int]) -> bool:
 
     Requires the first cord letter to open the word, the last to close it,
     and the projection onto the cord letters to interlock in the tangled
-    pattern.
+    pattern.  Each letter occurs twice, so the projection has the pattern's
+    length 2s only when the s cord letters are distinct letters of the word.
+    The empty cord has no pattern, so it is refused first.
     """
     cord = tuple(cord)
-    if not cord or len(set(cord)) != len(cord):
-        return False
-    if not set(cord) <= word.alphabet:
+    if not cord:
         return False
     if word.letters[0] != cord[0] or word.letters[-1] != cord[-1]:
         return False
-    return project(word, set(cord)) == cord_pattern(cord)
+    return project(word, cord) == cord_pattern(cord)
 
 
 def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
@@ -311,7 +311,7 @@ def minimal_even_split(word: Dow) -> tuple[frozenset[int], Dow] | None:
 
 def _tangled_projection(word: Dow, sigma: frozenset[int]) -> tuple[int, ...]:
     # the projection onto sigma, checked to be a tangled cord
-    content = tuple([a for a in word.letters if a in sigma])
+    content = project(word, sigma)
     if not _is_tangled(content):
         raise InternalCheckError(
             f"minimal split {sorted(sigma)} of {render(word)} projects to "

@@ -263,7 +263,7 @@ def project(word: Dow, sigma: Iterable[int]) -> tuple[int, ...]:
     keep = frozenset(sigma)
     if not keep:
         raise SigmaEmptyError("the projected letter set must be non-empty")
-    return tuple(a for a in word.letters if a in keep)
+    return tuple([a for a in word.letters if a in keep])
 
 
 def cord_pattern(cord: Sequence[int]) -> tuple[int, ...]:

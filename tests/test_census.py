@@ -127,6 +127,8 @@ def test_size_guard():
 def test_fewer_than_one_letter_is_rejected(n):
     with pytest.raises(dg.InputError):
         enumerate_dow_classes(n)
+    with pytest.raises(dg.InputError):
+        iter_canonical_words(n)
     for threads in (1, 2):
         with pytest.raises(dg.InputError):
             census_records(n, threads=threads)

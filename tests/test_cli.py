@@ -189,17 +189,20 @@ def _old_enumerate_output(word, fmt):
     masks = [dg.mask_to_bits(dg.edge_mask(graph, hs), graph.num_real_edges) for hs in sets]
     if fmt == "json":
         payload = [
-            {"mask": mask, "paths": [list(p.vertices) for p in hs.sorted_paths()]}
+            # the paths are vertex-disjoint, so their vertex lists order them
+            {"mask": mask, "paths": sorted(list(p.vertices) for p in hs)}
             for mask, hs in zip(masks, sets)
         ]
         return json.dumps(payload, indent=2) + "\n"
     return "".join(f"{mask}  {dg.format_hamiltonian_set(hs)}\n" for mask, hs in zip(masks, sets))
 
 
-# the benchmark's reference table: enumerate JSON sha256 per pool word
-_REFERENCE = json.loads(
+# the benchmark's reference table, read and never written: the census 6 CSV
+# sha256, and the enumerate JSON sha256 per pool word
+_BENCH_REFERENCE = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text()
-)["enumerate"]
+)
+_REFERENCE = _BENCH_REFERENCE["enumerate"]
 _POOL = [
     entry for n in ("9", "10") for entry in [_REFERENCE["tangled"][n], *_REFERENCE["random"][n]]
 ]
@@ -308,6 +311,13 @@ def test_census_with_worker_processes(capsys):
     fanned = run_cli(capsys, "census", "3", "--format", "csv", "--threads", "2")
     assert serial == fanned
     assert serial[0] == 0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_census_csv_matches_the_benchmark_reference(capsys, threads):
+    code, out, err = run_cli(capsys, "census", "6", "--format", "csv", "--threads", threads)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _BENCH_REFERENCE["census"]["csv_sha256"]
 
 
 def _doctored_census(monkeypatch, doctor):

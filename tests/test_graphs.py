@@ -91,6 +91,8 @@ def test_are_neighbors_rejects_bad_arguments():
     with pytest.raises(dg.NotIncidentError):
         dg.are_neighbors(g, 1, 1, 4)  # e_4 touches only vertex 2
     with pytest.raises(dg.NotIncidentError):
+        dg.are_neighbors(g, 1, 4, 1)  # the same, as the first edge
+    with pytest.raises(dg.NotIncidentError):
         dg.are_neighbors(g, 9, 1, 2)
     with pytest.raises(dg.InputError):
         dg.are_neighbors(g, 1, 2, 2)

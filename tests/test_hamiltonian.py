@@ -85,31 +85,36 @@ def test_negative_sizes_are_input_errors(call):
 
 def test_edge_mask_of_all_singletons():
     g = dg.build_graph(dg.parse("112323"))
-    hs = dg.HamiltonianSet(frozenset(
-        dg.PolygonalPath((v,), ()) for v in (1, 2, 3)
-    ))
+    hs = frozenset(dg.PolygonalPath((v,), ()) for v in (1, 2, 3))
     assert dg.edge_mask(g, hs) == 0
 
 
 def test_edge_mask_worked_example():
     g = dg.build_graph(dg.parse("112323"))
-    hs = dg.HamiltonianSet(frozenset({dg.PolygonalPath((1, 2, 3), (2, 5))}))
+    hs = frozenset({dg.PolygonalPath((1, 2, 3), (2, 5))})
     assert dg.edge_mask(g, hs) == (1 << 1) | (1 << 4)
 
 
 def test_edge_mask_rejects_non_hamiltonian_input():
     g = dg.build_graph(dg.parse("112323"))
     # missing vertex 3
-    partial = dg.HamiltonianSet(frozenset({dg.PolygonalPath((1, 2), (2,))}))
+    partial = frozenset({dg.PolygonalPath((1, 2), (2,))})
     with pytest.raises(dg.InvalidHamiltonianSetError):
         dg.edge_mask(g, partial)
     # overlapping vertex sets
-    overlap = dg.HamiltonianSet(frozenset({
+    overlap = frozenset({
         dg.PolygonalPath((1, 2), (2,)),
         dg.PolygonalPath((2, 3), (3,)),
-    }))
+    })
     with pytest.raises(dg.InvalidHamiltonianSetError):
         dg.edge_mask(g, overlap)
+
+
+def test_straight_through_path_is_no_hamiltonian_set():
+    # 1-2-3 on e_1, e_2 of 123123 covers every vertex but runs straight
+    # through vertex 2, so it is no polygonal path
+    g = dg.build_graph(dg.parse("123123"))
+    assert not dg.is_hamiltonian_set(g, frozenset({dg.PolygonalPath((1, 2, 3), (1, 2))}))
 
 
 # ------------------------------------------------- mask -> set decoding
@@ -141,8 +146,8 @@ def test_valid_mask_decodes_to_expected_paths():
     g = dg.build_graph(dg.parse("112323"))
     hs = dg.hamiltonian_set_from_mask(g, (1 << 1) | (1 << 4))
     assert hs is not None
-    assert dg.PolygonalPath((1, 2, 3), (2, 5)) in hs.paths
-    assert hs.total_edges() == 2
+    assert dg.PolygonalPath((1, 2, 3), (2, 5)) in hs
+    assert sum(len(p.edges) for p in hs) == 2
 
 
 @given(dows())
@@ -333,9 +338,9 @@ def test_enumeration_of_tangled_cord_attains_bound(n):
 def test_path_count_complements_edge_count(word):
     g = dg.build_graph(word)
     for hs in dg.enumerate_hamiltonian_sets(g):
-        k = hs.total_edges()
+        k = sum(len(p.edges) for p in hs)
         assert k <= word.n - 1
-        assert len(hs.paths) == word.n - k
+        assert len(hs) == word.n - k
 
 
 # ------------------------------------------------------------ the oracle

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +191,62 @@ def test_framing_check_rejects_bad_cords():
     assert not dg.is_framing_cord(word, (1, 6))      # 1 and 6 never interlock
 
 
+def _framing_oracle(word, cord):
+    """Oracle for :func:`is_framing_cord`: its five conditions checked one by
+    one, without relying on any of them to imply another."""
+    cord = tuple(cord)
+    if not cord:
+        return False
+    if len(set(cord)) != len(cord):
+        return False
+    if not set(cord) <= word.alphabet:
+        return False
+    if word.letters[0] != cord[0] or word.letters[-1] != cord[-1]:
+        return False
+    return tuple(a for a in word.letters if a in cord) == dg.cord_pattern(cord)
+
+
+# letters that no word drawn by dows() has
+_ABSENT = (98, 99)
+
+
+@st.composite
+def _words_and_cords(draw):
+    word = draw(dows(max_n=7))
+    letters = sorted(word.alphabet)
+    kind = draw(st.sampled_from(["greedy", "empty", "ends", "repeated", "absent", "any"]))
+    if kind == "greedy":
+        return word, dg.find_framing_cord(word) or ()
+    if kind == "empty":
+        return word, ()
+    if kind == "any":
+        return word, tuple(draw(st.lists(st.sampled_from(letters + list(_ABSENT)), max_size=8)))
+    # the rest open and close the word, so only the pattern can refuse them
+    middle = draw(st.lists(st.sampled_from(letters), unique=True, max_size=word.n))
+    at = draw(st.integers(0, len(middle)))
+    if kind == "repeated":
+        middle.insert(at, draw(st.sampled_from(letters)))
+    elif kind == "absent":
+        middle.insert(at, draw(st.sampled_from(_ABSENT)))
+    return word, (word.letters[0], *middle, word.letters[-1])
+
+
+@given(_words_and_cords())
+@settings(max_examples=300, deadline=None)
+def test_framing_check_agrees_with_its_oracle(pair):
+    word, cord = pair
+    assert dg.is_framing_cord(word, cord) == _framing_oracle(word, cord)
+
+
+def test_framing_check_agrees_with_its_oracle_on_every_short_cord():
+    symbols = (1, 2, 3, 4, _ABSENT[0])
+    for n in range(1, 5):
+        for word in dg.census.iter_canonical_words(n):
+            for size in range(4):
+                for cord in product(symbols, repeat=size):
+                    assert dg.is_framing_cord(word, cord) == _framing_oracle(word, cord)
+
+
 def test_greedy_cord_on_worked_example():
     assert dg.find_framing_cord(dg.parse(FRAMED)) == (1, 3, 6)
 
@@ -250,6 +306,8 @@ def test_split_construction_preconditions():
         dg.even_split_from_cord((1, 2, 1), (1,))
     with pytest.raises(dg.PreconditionViolatedError):
         dg.even_split_from_cord(dg.tangled_cord(4).letters, (1, 2, 3, 4))
+    with pytest.raises(dg.PreconditionViolatedError, match="does not fit"):
+        dg.even_split_from_cord((1, 1, 2, 2), (1, 2, 3))
     with pytest.raises(dg.PreconditionViolatedError):
         dg.even_split_from_cord((1, 1, 2, 2), (2,))          # wrong opener
     with pytest.raises(dg.PreconditionViolatedError):

@@ -31,6 +31,8 @@ def test_parse_compact():
 def test_parse_tokens_space_and_comma():
     assert dg.parse("1 2 12 1 2 12").letters == (1, 2, 12, 1, 2, 12)
     assert dg.parse("1,2,1,2").letters == (1, 2, 1, 2)
+    # a separator at either end leaves an empty token, which is skipped
+    assert dg.parse(",1,1").letters == dg.parse("1 1,").letters == (1, 1)
 
 
 def test_parse_rejects_empty():
@@ -84,6 +86,8 @@ def test_render_parse_roundtrip(pair):
 def test_render_switches_to_tokens_past_nine():
     assert dg.render(dg.Dow((1, 10, 1, 10))) == "1 10 1 10"
     assert dg.render(dg.Dow((9, 1, 9, 1))) == "9191"
+    assert str(dg.Dow((1, 10, 1, 10))) == "1 10 1 10"
+    assert str(dg.Dow((9, 1, 9, 1))) == "9191"
 
 
 # ---------------------------------------------------------- occurrences

@@ -19,7 +19,7 @@ from .census import census_records, summarize_records, write_records_csv
 from .errors import InputError, InternalCheckError
 from .graphs import build_graph, to_dot
 from .hamiltonian import _check_search_depth, _search, count_hamiltonian_sets, mask_to_bits
-from .maximality import DEFAULT_CROSS_CHECK_LIMIT, analyze, find_framing_cord
+from .maximality import analyze, find_framing_cord
 from .words import parse, render, split_composition, tangled_cord
 # bench/spans.py wraps both here by name; they stay importable
 from .hamiltonian import edge_mask, enumerate_hamiltonian_sets  # noqa: F401
@@ -71,13 +71,6 @@ def build_parser() -> _Parser:
         sub.add_argument("--output", metavar="PATH", help="write to a file instead of stdout")
         sub.set_defaults(handler=handler)
 
-    subs["analyze"].add_argument(
-        "--cross-check-limit",
-        type=int,
-        default=DEFAULT_CROSS_CHECK_LIMIT,
-        metavar="N",
-        help="count the sets only while n stays within N",
-    )
     subs["census"].add_argument("--threads", type=_positive_int, default=1, metavar="K",
                                 help="worker processes for the per-class analysis")
     subs["census"].add_argument("--unsafe-large", action="store_true",
@@ -107,7 +100,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    report = analyze(parse(" ".join(args.word)), cross_check_limit=args.cross_check_limit)
+    report = analyze(parse(" ".join(args.word)))
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2), args.output)
     else:
@@ -150,12 +143,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     graph = build_graph(parse(" ".join(args.word)))
     _check_search_depth(graph)  # before --output is opened
     width = graph.num_real_edges
-    # each set is written as the search reaches it, from fragments made once
-    # per path.  The JSON layout is exactly that of json.dumps(payload,
-    # indent=2), whose pure-Python encoder this avoids; the list is never
-    # empty, and mask 0 (all singletons) opens it.
+    # each set's text is made as the search reaches it, from fragments made
+    # once per path, and written 256 sets at a time, since on an unbuffered
+    # stream each write is a system call.  The JSON layout is exactly that
+    # of json.dumps(payload, indent=2), whose pure-Python encoder this
+    # avoids; the list is never empty, and mask 0 (all singletons) opens it.
+    block: list[str] = []
     with _output(args.output) as out:
-        write = out.write
+
+        def write(text: str) -> None:
+            block.append(text)
+            if len(block) == 256:
+                out.write("".join(block))
+                block.clear()
+
         if args.format == "json":
 
             def visit(mask: int, live: list[str | None]) -> None:
@@ -170,6 +171,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     lambda mask, live: write(f"{mask_to_bits(mask, width)}  "
                                              + "".join(filter(None, live)) + "\n"),
                     lambda p: "[" + "-".join(map(str, p.vertices)) + "]")
+        out.write("".join(block))
     return 0
 
 

@@ -15,9 +15,10 @@ fingerprint exactly when its edges contain no loop and no cycle.
 
 Counting runs a frontier dynamic programme over the edges, whose cost is set
 by the cut width of the word (how many letters are open at once), not by
-F(2n+1).  Its state is a mate array: each open letter holds a slot naming the
-open letter at the other end of its path, or itself.  Each step depends only
-on the prefix read so far, so a batch shares the steps of common prefixes.
+F(2n+1).  It reads one letter at a time and gives each letter a slot as it
+reads it; its state is a mate array, in which each open letter's slot names
+the open letter at the other end of its path, or itself.  Each step depends
+only on the prefix read, so a batch shares the steps of common prefixes.
 
 Enumeration is a depth-first search over the edges that joins paths as it
 takes edges and refuses every loop and cycle, so it visits only the
@@ -65,6 +66,8 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 8
 # keeps the enumeration's 2n - 1 nested calls well inside Python's recursion limit
 ENUMERATE_LIMIT = 200
+# the counting programme's state before the first letter (see _read)
+_START = ({(): [1, 0]}, {}, (), None)
 
 
 def fibonacci(k: int) -> int:
@@ -237,22 +240,21 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     """The Hamiltonian-set counts of the words' assembly graphs, in order.
 
     A frontier dynamic programme over the edges e_1..e_(2n-1), left to
-    right, whose state is a mate array over the slots of the open letters
-    (see :func:`_slots`): ``m[s]`` is the slot of the open letter at the
-    other end of the path that ends at ``s``, or ``s`` itself when there is
-    none.  It maps to two counts: selections whose last edge was left out
-    and selections that took it.  An edge x -> y may be taken when the
+    right, one letter at a time (see :func:`_read`).  Its state is a mate
+    array over the slots of the open letters, ``m[s]`` being the slot of
+    the open letter at the other end of the path that ends at ``s``, or
+    ``s`` itself, mapped to the counts of selections that left the last
+    edge out and that took it.  An edge x -> y may be taken when the
     previous one was not, it is no loop, and ``m[x] != y``, so the
     selections counted are exactly the masks without adjacent ones whose
     edges induce disjoint paths.  The number of states is set by how many
     letters are open at once, not by F_(2n+1); the bound F_(2n+1) - 1 is
     never reached because the alternating mask always closes a cycle.
 
-    Each step needs only the prefix read so far, so the words share work
-    along common prefixes: the programme keeps the states after each prefix
-    position that the next word shares, pops back to it, and extends only
-    the rest.  Words in sorted order share the most; any order gives the
-    same counts.
+    A state depends only on the prefix read, so the words share the states
+    of common prefixes: the programme stacks the state after each position
+    that the next word shares, pops back to it, and reads only the rest.
+    Sorted words share the most; any order gives the same counts.
 
     >>> from dowgraph import parse
     >>> count_words([parse("11"), parse("1122"), parse("1212"), parse("11")])
@@ -260,18 +262,16 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     """
     letters = [word.letters for word in words]
     counts: list[int] = []
-    # stack[k] holds the states after w[0..k] (mate array -> [count, last
-    # edge free; count, last edge taken]) while the next word shares w[0..k]
-    stack: list[dict[tuple[int, ...], list[int]]] = []
+    # stack[k] is the state after w[0..k] while the next word shares w[0..k]
+    stack: list[tuple] = []
     for i, w in enumerate(letters):
         share = _common_prefix(w, letters[i + 1]) if i + 1 < len(letters) else 0
-        slots = _slots(w)
-        states = stack[-1] if stack else {}
+        state = stack[-1] if stack else _START
         for k in range(len(stack), len(w)):
-            states = {(0,): [1, 0]} if k == 0 else _step(states, *slots[k - 1], slots[k][0])
+            state = _read(state, w[k])
             if k < share:
-                stack.append(states)
-        counts.append(sum(free + taken for free, taken in states.values()))
+                stack.append(state)
+        counts.append(sum(free + taken for free, taken in state[0].values()))
         del stack[share:]
     return counts
 
@@ -283,39 +283,40 @@ def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return min(len(u), len(v))
 
 
-def _slots(w: tuple[int, ...]) -> list[tuple[int, bool]]:
-    """Each position's slot, and whether the position closes its letter.
+def _read(state: tuple, c: int) -> tuple:
+    """The state after one more letter ``c``; ``state`` is left as it was.
 
-    A letter frees its slot after the edge that leaves its second
-    occurrence, and a new letter takes the slot freed last, or else a new
-    one, so a prefix's slots depend on the prefix alone.  The tangled cord
-    holds at most three:
+    A state holds the mate arrays with their counts, the slot of each
+    letter that holds one, the freed slots (last freed last), and the last
+    letter read with its slot and whether it closed there.  A new letter
+    takes the slot freed last, or else a new one, which lengthens every
+    mate array; then the edge from the last letter to ``c`` is decided, and
+    the last letter frees its slot if it closed there.  So a prefix's slots
+    depend on the prefix alone, and the tangled cord never needs a fourth:
 
+    >>> from functools import reduce
     >>> from dowgraph import tangled_cord
-    >>> sorted({slot for slot, _ in _slots(tangled_cord(2000).letters)})
-    [0, 1, 2]
+    >>> len(next(iter(reduce(_read, tangled_cord(2000).letters, _START)[0])))
+    3
     """
-    slot_of: dict[int, int] = {}
-    freed: list[int] = []
-    out: list[tuple[int, bool]] = []
-    for k, c in enumerate(w):
-        if k >= 2 and out[k - 2][1]:
-            freed.append(slot_of.pop(w[k - 2]))
-        closes = c in slot_of
-        if not closes:
-            # every slot is held by an open letter or waits in freed
-            slot_of[c] = freed.pop() if freed else len(slot_of)
-        out.append((slot_of[c], closes))
-    return out
+    states, slot_of, freed, last = state
+    closes = c in slot_of
+    if not closes:
+        if not freed:  # make a slot; a new slot reads as itself
+            freed = (len(slot_of),)
+            states = {p + freed: n for p, n in states.items()}
+        slot_of, freed = {**slot_of, c: freed[-1]}, freed[:-1]
+    y = slot_of[c]
+    if last:
+        b, x, x_closes = last
+        states = _step(states, x, x_closes, y)
+        if x_closes:
+            slot_of, freed = {a: s for a, s in slot_of.items() if a != b}, freed + (x,)
+    return states, slot_of, freed, (c, y, closes)
 
 
-def _step(
-    states: dict[tuple[int, ...], list[int]], x: int, x_closes: bool, y: int
-) -> dict[tuple[int, ...], list[int]]:
-    """Decide the edge from slot ``x`` to slot ``y``, then free ``x`` if its letter
-    closes.  Only a new slot ``y`` lengthens the states; a freed one reads as itself."""
-    if y == len(next(iter(states))):
-        states = {p + (y,): c for p, c in states.items()}
+def _step(states: dict, x: int, x_closes: bool, y: int) -> dict:
+    """Decide the edge from slot ``x`` to slot ``y``, then free ``x`` if its letter closes."""
     nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
     for p, (free, taken) in states.items():
         q = list(p)

@@ -48,7 +48,7 @@ from .words import (
 from .words import is_tangled_cord, split_composition  # noqa: F401
 
 __all__ = [
-    "DEFAULT_CROSS_CHECK_LIMIT",
+    "CROSS_CHECK_LIMIT",
     "EvenSplit",
     "MaximalityReport",
     "even_split_witness",
@@ -60,7 +60,7 @@ __all__ = [
     "analyze",
 ]
 
-DEFAULT_CROSS_CHECK_LIMIT = 10
+CROSS_CHECK_LIMIT = 10
 
 
 def _settle(
@@ -423,23 +423,19 @@ class MaximalityReport:
         }
 
 
-def analyze(word: Dow, cross_check_limit: int = DEFAULT_CROSS_CHECK_LIMIT) -> MaximalityReport:
+def analyze(word: Dow) -> MaximalityReport:
     """Full maximality report for one word.
 
-    The verdict comes from the parity test.  For words within the
-    cross-check limit the Hamiltonian sets are also counted outright, and
-    the report's ``consistent`` property compares the two; callers that want
-    a hard failure on disagreement should check it.
+    The verdict comes from the parity test.  For words with at most
+    :data:`CROSS_CHECK_LIMIT` letters the Hamiltonian sets are also counted
+    outright, and the report's ``consistent`` property compares the two;
+    callers that want a hard failure on disagreement should check it.
     """
     canonical = canonicalize(word)
     minimal, is_composition, cord = _verdicts(canonical)
-    split = None
-    if minimal is not None:
-        sigma, projection = minimal
-        split = EvenSplit(sigma, Dow(projection))
-    count = None
-    if canonical.n <= cross_check_limit:
-        count = count_hamiltonian_sets(build_graph(canonical))
+    split = None if minimal is None else EvenSplit(minimal[0], Dow(minimal[1]))
+    count = (count_hamiltonian_sets(build_graph(canonical))
+             if canonical.n <= CROSS_CHECK_LIMIT else None)
     return MaximalityReport(
         word=canonical,
         count=count,

@@ -161,9 +161,10 @@ def test_records_agree_with_analyze(census_by_n):
     # the oracle for every field the core decides
     for n in range(1, 7):
         for r in census_by_n[n].records:
-            report = dg.analyze(r.representative, cross_check_limit=0)
+            report = dg.analyze(r.representative)
             assert report.word == r.representative
-            assert (r.bound, r.is_maximal, r.is_composition, r.has_framing_cord) == (
+            assert (r.count, r.bound, r.is_maximal, r.is_composition, r.has_framing_cord) == (
+                report.count,
                 report.bound,
                 report.is_maximal,
                 report.is_composition,

@@ -28,7 +28,7 @@ def run_cli(capsys, *argv):
 # -------------------------------------------------------------- analyze
 
 # the exact bytes, so that a key moved or a value respelled shows; the last
-# word has n = 11, above the default cross-check limit, so its count is null
+# word has n = 11, above the cross-check limit of 10, so its count is null
 ANALYZE_JSON = {
     "1122": """{
   "word": "1122",
@@ -108,9 +108,22 @@ def test_analyze_text_report(capsys):
 
 
 def test_analyze_can_skip_the_count(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "1212", "--cross-check-limit", "1")
+    # tc(11) has n = 11, one above the cross-check limit
+    code, out, _ = run_cli(capsys, "analyze", *dg.render(dg.tangled_cord(11)).split())
     assert code == 0
     assert "count: skipped" in out.splitlines()
+    assert "maximal: true" in out.splitlines()
+
+
+def test_analyze_has_no_cross_check_limit_option(capsys):
+    # the limit is the fixed CROSS_CHECK_LIMIT, not an option
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "1212", "--cross-check-limit", "1"])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: dowgraph")
+    assert "--cross-check-limit" in captured.err
 
 
 def test_analyze_text_report_of_a_non_maximal_word(capsys):
@@ -238,6 +251,28 @@ def test_enumerate_json_matches_the_benchmark_reference(capsys, entry):
 class _Discard(io.TextIOBase):
     def write(self, text):
         return len(text)
+
+
+class _Recording(io.TextIOBase):
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_writes_in_blocks(fmt):
+    # an unbuffered stdout makes each write a system call; tc(9)'s 4,180
+    # sets, and the closing bracket in JSON, go out 256 at a time
+    word = dg.render(dg.tangled_cord(9))
+    sink = _Recording()
+    with contextlib.redirect_stdout(sink):
+        code = main(["enumerate", word, "--format", fmt])
+    assert code == 0
+    assert len(sink.parts) == 17
+    assert "".join(sink.parts) == _old_enumerate_output(word, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -400,7 +435,7 @@ def test_census_rejects_a_non_integer_thread_count(capsys):
 
 
 def test_census_has_no_cross_check_limit(capsys):
-    # a census always counts every class; only analyze takes the limit
+    # a census always counts every class
     with pytest.raises(SystemExit) as info:
         main(["census", "3", "--cross-check-limit", "2"])
     assert info.value.code == 1
@@ -550,7 +585,7 @@ def test_usage_problems_are_exit_one(capsys):
 
 
 COMMAND_OPTIONS = {
-    "analyze": ["word", "--format", "--output", "--cross-check-limit"],
+    "analyze": ["word", "--format", "--output"],
     "count": ["word", "--format", "--output"],
     "enumerate": ["word", "--format", "--output"],
     "tc": ["n", "--format", "--output"],

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dowgraph as dg
-from dowgraph.hamiltonian import alternating_mask, mask_to_bits, nonconsecutive_masks
+from dowgraph.hamiltonian import _START, _read, alternating_mask, mask_to_bits, nonconsecutive_masks
 
 from conftest import dows, renamed_dows
 
@@ -232,6 +234,22 @@ def test_batch_count_through_shared_and_repeated_prefixes():
     assert dg.count_words(words) == [1, 2, 1, 2, 2, 4, 4, 1, 12, 4]
     assert dg.count_words(reversed(words)) == [4, 12, 1, 4, 4, 2, 2, 1, 2, 1]
     assert dg.count_words([]) == []
+
+
+def test_reading_on_from_every_prefix_state_gives_the_count():
+    # _read leaves the state it is given as it was, so the state after any
+    # prefix can be read on from, and more than once, as a walk of the
+    # canonical trie needs; every prefix state is made before any is reused
+    for n in range(1, 6):
+        for word in dg.enumerate_dow_classes(n):
+            w = word.letters
+            expected = dg.count_words([word])
+            prefix_states = list(itertools.accumulate(w, _read, initial=_START))
+            assert len(prefix_states) == len(w) + 1
+            for k, state in enumerate(prefix_states):
+                for _ in range(2):
+                    states = reduce(_read, w[k:], state)[0]
+                    assert [sum(map(sum, states.values()))] == expected, (word, k)
 
 
 @given(renamed_dows(max_n=8, max_letter=10**9))

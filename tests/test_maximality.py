@@ -387,10 +387,13 @@ def test_report_canonicalizes_its_input():
 
 
 def test_cross_check_limit_skips_counting():
-    report = dg.analyze(dg.parse("1212"), cross_check_limit=1)
+    assert dg.CROSS_CHECK_LIMIT == 10
+    report = dg.analyze(dg.tangled_cord(11))
     assert report.count is None
     assert report.consistent
     assert report.is_maximal
+    # at the limit the sets are still counted
+    assert dg.analyze(dg.tangled_cord(10)).count == dg.fibonacci(21) - 1
 
 
 @given(renamed_dows())

@@ -2,21 +2,32 @@
 Hamiltonian sets of polygonal paths, with an exhaustive small-n census.
 
 Each module's ``__all__`` is the one list of its public names; the package
-re-exports them all.
+re-exports them all (the counting programme's through
+:mod:`dowgraph.hamiltonian`).  The re-exports resolve on first access:
+``import dowgraph`` loads no module, ``dowgraph.parse`` loads the modules up
+to the one that defines it, and ``dowgraph.__all__`` or ``from dowgraph
+import *`` loads them all.
 """
 
-from . import census, errors, graphs, hamiltonian, maximality, words
-from .census import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .graphs import *  # noqa: F403
-from .hamiltonian import *  # noqa: F403
-from .maximality import *  # noqa: F403
-from .words import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (census, errors, graphs, hamiltonian, maximality, words)
-    for name in module.__all__
-]
+# in dependency order, so that a name is found before any module past its own loads
+_MODULES = ("errors", "words", "graphs", "hamiltonian", "maximality", "census")
+
+
+def __getattr__(name: str):
+    if name == "__all__":
+        value = [n for module in _MODULES for n in __getattr__(module).__all__]
+    elif name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    else:
+        for module in map(__getattr__, _MODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

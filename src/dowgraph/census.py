@@ -21,7 +21,7 @@ two facts raise at once, and the first three fill the summary's
 
 Every class is counted: the bound check and the count/parity check cover the
 whole census, never a part of it.  Each run of classes is counted by one
-batch of :func:`~dowgraph.hamiltonian.count_words`, whose frontier
+batch of :func:`~dowgraph.counting.count_words`, whose frontier
 programme extends each class only past the prefix it shares with the
 previous one: at n = 6 that is 15,545 programme steps instead of 58,993 for
 a fresh count per class.  The other fields come from the verdict core that
@@ -47,7 +47,7 @@ from math import prod
 from typing import TextIO
 
 from .errors import InputError, InternalCheckError, TooLargeError
-from .hamiltonian import count_words, fibonacci
+from .counting import count_words, fibonacci
 from .maximality import _verdicts
 from .words import Dow, render, tangled_cord
 # bench/spans.py wraps both here by name; they stay importable

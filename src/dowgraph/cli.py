@@ -9,20 +9,58 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import importlib
 import os
 import sys
 from collections.abc import Iterator, Sequence
 from typing import TextIO
 
-from .census import census_records, summarize_records, write_records_csv
+from .counting import count_words
 from .errors import InputError, InternalCheckError
-from .graphs import build_graph, to_dot
-from .hamiltonian import _check_search_depth, _search, count_hamiltonian_sets, mask_to_bits
-from .maximality import analyze, find_framing_cord
 from .words import parse, render, split_composition, tangled_cord
-# bench/spans.py wraps both here by name; they stay importable
-from .hamiltonian import edge_mask, enumerate_hamiltonian_sets  # noqa: F401
+
+# The handlers call the library functions of the heavier layers as
+# attributes of this module, so that tests and bench/spans.py can patch
+# them here by name.  Each is bound on first access (see __getattr__), so a
+# command imports only the layers it runs: count and tc load no graph,
+# enumeration, maximality or census code.
+_LAZY = {
+    "build_graph": "graphs",
+    "to_dot": "graphs",
+    "_check_search_depth": "hamiltonian",
+    "_search": "hamiltonian",
+    "mask_to_bits": "hamiltonian",
+    # bench/spans.py wraps these three here by name; no handler calls them
+    "count_hamiltonian_sets": "hamiltonian",
+    "edge_mask": "hamiltonian",
+    "enumerate_hamiltonian_sets": "hamiltonian",
+    "analyze": "maximality",
+    "find_framing_cord": "maximality",
+    "census_records": "census",
+    "summarize_records": "census",
+    "write_records_csv": "census",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def _load(*names: str) -> None:
+    """Bind the named library functions here unless they are bound (or patched) already."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
+
+
+def _dumps(payload: object) -> str:
+    import json  # only JSON output pays for the import
+
+    return json.dumps(payload, indent=2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,9 +138,10 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _load("analyze")
     report = analyze(parse(" ".join(args.word)))
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.output)
+        _emit(_dumps(report.to_json_dict()), args.output)
     else:
         lines = [
             f"word: {render(report.word)}",
@@ -134,12 +173,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    value = count_hamiltonian_sets(build_graph(parse(" ".join(args.word))))
-    _emit(json.dumps(value) if args.format == "json" else str(value), args.output)
+    value = count_words([parse(" ".join(args.word))])[0]
+    _emit(_dumps(value) if args.format == "json" else str(value), args.output)
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _load("build_graph", "_check_search_depth", "_search", "mask_to_bits")
     graph = build_graph(parse(" ".join(args.word)))
     _check_search_depth(graph)  # before --output is opened
     width = graph.num_real_edges
@@ -177,18 +217,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_tc(args: argparse.Namespace) -> int:
     word = render(tangled_cord(args.n))
-    _emit(json.dumps(word) if args.format == "json" else word, args.output)
+    _emit(_dumps(word) if args.format == "json" else word, args.output)
     return 0
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    _load("census_records", "summarize_records", "write_records_csv")
     records = census_records(args.n, threads=args.threads, unsafe_large=args.unsafe_large)
     summary = summarize_records(args.n, records)
     if args.format == "csv":
         with _output(args.output) as out:
             write_records_csv(records, out)
     elif args.format == "json":
-        _emit(json.dumps(summary.to_json_dict(), indent=2), args.output)
+        _emit(_dumps(summary.to_json_dict()), args.output)
     else:
         lines = [
             f"n: {summary.n}",
@@ -210,6 +251,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_framing(args: argparse.Namespace) -> int:
+    _load("find_framing_cord")
     word = parse(" ".join(args.word))
     cord = find_framing_cord(word)
     if cord is None:
@@ -219,11 +261,12 @@ def _cmd_framing(args: argparse.Namespace) -> int:
     else:
         text = " ".join(str(a) for a in cord)
         payload = {"word": render(word), "framing_cord": list(cord)}
-    _emit(json.dumps(payload, indent=2) if args.format == "json" else text, args.output)
+    _emit(_dumps(payload) if args.format == "json" else text, args.output)
     return 0
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
+    _load("build_graph", "to_dot")
     _emit(to_dot(build_graph(parse(" ".join(args.word)))), args.output)
     return 0
 

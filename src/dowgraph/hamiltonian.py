@@ -13,12 +13,9 @@ hit.  A mask without adjacent ones takes at most one edge of each
 straight-through pair, so no vertex gets degree three; such a mask is a
 fingerprint exactly when its edges contain no loop and no cycle.
 
-Counting runs a frontier dynamic programme over the edges, whose cost is set
-by the cut width of the word (how many letters are open at once), not by
-F(2n+1).  It reads one letter at a time and gives each letter a slot as it
-reads it; its state is a mate array, in which each open letter's slot names
-the open letter at the other end of its path, or itself.  Each step depends
-only on the prefix read, so a batch shares the steps of common prefixes.
+Counting runs the frontier dynamic programme of :mod:`dowgraph.counting`,
+whose names this module re-exports; that module reads letters only, so
+counting a word needs neither the graph layer nor this module.
 
 Enumeration is a depth-first search over the edges that joins paths as it
 takes edges and refuses every loop and cycle, so it visits only the
@@ -33,10 +30,10 @@ oracle both engines are tested against.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from functools import lru_cache
 
+from .counting import count_words, fibonacci
 from .errors import (
     ConsecutiveEdgesError,
     InputError,
@@ -44,7 +41,6 @@ from .errors import (
     TooLargeError,
 )
 from .graphs import AssemblyGraph, PolygonalPath, are_neighbors, is_polygonal
-from .words import Dow
 
 __all__ = [
     "BRUTE_FORCE_LIMIT",
@@ -66,22 +62,6 @@ __all__ = [
 BRUTE_FORCE_LIMIT = 8
 # keeps the enumeration's 2n - 1 nested calls well inside Python's recursion limit
 ENUMERATE_LIMIT = 200
-# the counting programme's state before the first letter (see _read)
-_START = ({(): [1, 0]}, {}, (), None)
-
-
-def fibonacci(k: int) -> int:
-    """F_k with F_0 = 0 and F_1 = 1.
-
-    >>> [fibonacci(k) for k in range(8)]
-    [0, 1, 1, 2, 3, 5, 8, 13]
-    """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    a, b = 0, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
 
 
 @lru_cache(maxsize=32)
@@ -234,103 +214,6 @@ def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
     88
     """
     return count_words([graph.word])[0]
-
-
-def count_words(words: Iterable[Dow]) -> list[int]:
-    """The Hamiltonian-set counts of the words' assembly graphs, in order.
-
-    A frontier dynamic programme over the edges e_1..e_(2n-1), left to
-    right, one letter at a time (see :func:`_read`).  Its state is a mate
-    array over the slots of the open letters, ``m[s]`` being the slot of
-    the open letter at the other end of the path that ends at ``s``, or
-    ``s`` itself, mapped to the counts of selections that left the last
-    edge out and that took it.  An edge x -> y may be taken when the
-    previous one was not, it is no loop, and ``m[x] != y``, so the
-    selections counted are exactly the masks without adjacent ones whose
-    edges induce disjoint paths.  The number of states is set by how many
-    letters are open at once, not by F_(2n+1); the bound F_(2n+1) - 1 is
-    never reached because the alternating mask always closes a cycle.
-
-    A state depends only on the prefix read, so the words share the states
-    of common prefixes: the programme stacks the state after each position
-    that the next word shares, pops back to it, and reads only the rest.
-    Sorted words share the most; any order gives the same counts.
-
-    >>> from dowgraph import parse
-    >>> count_words([parse("11"), parse("1122"), parse("1212"), parse("11")])
-    [1, 2, 4, 1]
-    """
-    letters = [word.letters for word in words]
-    counts: list[int] = []
-    # stack[k] is the state after w[0..k] while the next word shares w[0..k]
-    stack: list[tuple] = []
-    for i, w in enumerate(letters):
-        share = _common_prefix(w, letters[i + 1]) if i + 1 < len(letters) else 0
-        state = stack[-1] if stack else _START
-        for k in range(len(stack), len(w)):
-            state = _read(state, w[k])
-            if k < share:
-                stack.append(state)
-        counts.append(sum(free + taken for free, taken in state[0].values()))
-        del stack[share:]
-    return counts
-
-
-def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    for k, (a, b) in enumerate(zip(u, v)):
-        if a != b:
-            return k
-    return min(len(u), len(v))
-
-
-def _read(state: tuple, c: int) -> tuple:
-    """The state after one more letter ``c``; ``state`` is left as it was.
-
-    A state holds the mate arrays with their counts, the slot of each
-    letter that holds one, the freed slots (last freed last), and the last
-    letter read with its slot and whether it closed there.  A new letter
-    takes the slot freed last, or else a new one, which lengthens every
-    mate array; then the edge from the last letter to ``c`` is decided, and
-    the last letter frees its slot if it closed there.  So a prefix's slots
-    depend on the prefix alone, and the tangled cord never needs a fourth:
-
-    >>> from functools import reduce
-    >>> from dowgraph import tangled_cord
-    >>> len(next(iter(reduce(_read, tangled_cord(2000).letters, _START)[0])))
-    3
-    """
-    states, slot_of, freed, last = state
-    closes = c in slot_of
-    if not closes:
-        if not freed:  # make a slot; a new slot reads as itself
-            freed = (len(slot_of),)
-            states = {p + freed: n for p, n in states.items()}
-        slot_of, freed = {**slot_of, c: freed[-1]}, freed[:-1]
-    y = slot_of[c]
-    if last:
-        b, x, x_closes = last
-        states = _step(states, x, x_closes, y)
-        if x_closes:
-            slot_of, freed = {a: s for a, s in slot_of.items() if a != b}, freed + (x,)
-    return states, slot_of, freed, (c, y, closes)
-
-
-def _step(states: dict, x: int, x_closes: bool, y: int) -> dict:
-    """Decide the edge from slot ``x`` to slot ``y``, then free ``x`` if its letter closes."""
-    nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
-    for p, (free, taken) in states.items():
-        q = list(p)
-        if x_closes:
-            q[q[x]], q[x] = q[x], x
-        nxt[tuple(q)][0] += free + taken
-        # refuse a loop and a cycle (y is x's mate); the joined path's ends become mates
-        if free and x != y != p[x]:
-            q = list(p)
-            q[x], q[y], q[p[x]], q[p[y]] = x, y, p[y], p[x]
-            if x_closes:
-                q[q[x]], q[x] = q[x], x
-            nxt[tuple(q)][1] += free
-    return nxt
 
 
 def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[frozenset[PolygonalPath]]:

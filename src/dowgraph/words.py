@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -51,8 +50,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Dow:
+class _Frozen:
+    """An immutable record of the fields named in ``__slots__``.
+
+    It behaves as a frozen dataclass would: ``==`` holds between instances
+    of one class with equal field tuples, ``hash`` is the hash of that
+    tuple, the repr reads ``Name(field=value, ...)``, and assigning or
+    deleting an attribute raises :class:`AttributeError`.  Pickling and
+    copying carry the field tuple and restore it as it was, without
+    validating again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._fields()
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Dow(_Frozen):
     """A validated double occurrence word.
 
     >>> Dow((1, 2, 1, 2)).n
@@ -63,19 +103,21 @@ class Dow:
     dowgraph.errors.NotDoubleOccurrenceError: letter 1 occurs 1 time(s), expected 2
     """
 
+    __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: tuple[int, ...]) -> None:
+        if not letters:
             raise EmptyWordError("a word needs at least one letter")
         counts: dict[int, int] = {}
-        for a in self.letters:
+        for a in letters:
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise BadTokenError(f"letters must be positive integers, got {a!r}")
             counts[a] = counts.get(a, 0) + 1
         for a, c in counts.items():
             if c != 2:
                 raise NotDoubleOccurrenceError(f"letter {a} occurs {c} time(s), expected 2")
+        object.__setattr__(self, "letters", letters)
 
     @property
     def n(self) -> int:
@@ -93,24 +135,32 @@ class Dow:
         return render(self)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Frozen):
     """One maximal run of surviving letters, with its original position span.
 
     ``start`` and ``end`` are 1-based and inclusive, so ``end - start + 1``
     equals ``len(letters)``.
     """
 
+    __slots__ = ("start", "end", "letters")
     start: int
     end: int
     letters: tuple[int, ...]
 
+    def __init__(self, start: int, end: int, letters: tuple[int, ...]) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "letters", letters)
 
-@dataclass(frozen=True)
-class SubwordSplit:
+
+class SubwordSplit(_Frozen):
     """The ordered segments that remain after deleting a letter subset."""
 
+    __slots__ = ("segments",)
     segments: tuple[Segment, ...]
+
+    def __init__(self, segments: tuple[Segment, ...]) -> None:
+        object.__setattr__(self, "segments", segments)
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(s.letters) for s in self.segments)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dowgraph as dg
-from dowgraph.hamiltonian import _START, _read, alternating_mask, mask_to_bits, nonconsecutive_masks
+from dowgraph.counting import _START, _read
+from dowgraph.hamiltonian import alternating_mask, mask_to_bits, nonconsecutive_masks
 
 from conftest import dows, renamed_dows
 

@@ -3,7 +3,9 @@ tangled cords, and composition splitting."""
 
 from __future__ import annotations
 
+import copy
 import doctest
+import pickle
 from itertools import combinations
 
 import pytest
@@ -88,6 +90,72 @@ def test_render_switches_to_tokens_past_nine():
     assert dg.render(dg.Dow((9, 1, 9, 1))) == "9191"
     assert str(dg.Dow((1, 10, 1, 10))) == "1 10 1 10"
     assert str(dg.Dow((9, 1, 9, 1))) == "9191"
+
+
+# --------------------------------------------------------- value contract
+# Dow, Segment and SubwordSplit are immutable values.  Set iteration order,
+# and so output order, follows their hash values, and the census pickles
+# every representative it sends back from a worker process.
+
+_SEGMENT = dg.Segment(2, 3, (4, 5))
+VALUES = [
+    pytest.param(dg.Dow((1, 2, 1, 2)), dg.Dow((1, 2, 1, 2)), dg.Dow((1, 1, 2, 2)),
+                 ((1, 2, 1, 2),), "Dow(letters=(1, 2, 1, 2))", id="Dow"),
+    pytest.param(_SEGMENT, dg.Segment(2, 3, (4, 5)), dg.Segment(2, 4, (4, 5)),
+                 (2, 3, (4, 5)), "Segment(start=2, end=3, letters=(4, 5))", id="Segment"),
+    pytest.param(dg.SubwordSplit((_SEGMENT,)), dg.SubwordSplit((dg.Segment(2, 3, (4, 5)),)),
+                 dg.SubwordSplit(()), ((_SEGMENT,),),
+                 "SubwordSplit(segments=(Segment(start=2, end=3, letters=(4, 5)),))",
+                 id="SubwordSplit"),
+]
+FIELD_NAMES = {"Dow": ("letters",), "Segment": ("start", "end", "letters"),
+               "SubwordSplit": ("segments",)}
+
+
+@pytest.mark.parametrize("value, equal, unequal, fields, text", VALUES)
+def test_equality_holds_within_one_class_only(value, equal, unequal, fields, text):
+    assert value == equal and not value != equal
+    assert value != unequal and not value == unequal
+    # fields[-1] of a Dow is its letter tuple, which it does not equal
+    for foreign in (fields, fields[-1], None, object(), text):
+        assert value != foreign and not value == foreign
+
+
+@pytest.mark.parametrize("value, equal, unequal, fields, text", VALUES)
+def test_hash_and_repr_are_those_of_the_field_tuple(value, equal, unequal, fields, text):
+    assert hash(value) == hash(equal) == hash(fields)
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value, equal, unequal, fields, text", VALUES)
+def test_values_refuse_assignment(value, equal, unequal, fields, text):
+    for name in (*FIELD_NAMES[type(value).__name__], "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == equal
+
+
+@pytest.mark.parametrize("value, equal, unequal, fields, text", VALUES)
+def test_values_survive_pickle_and_copy(value, equal, unequal, fields, text):
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for other in copies:
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value) and repr(other) == text
+
+
+def test_unpickling_a_word_does_not_validate_it_again(monkeypatch):
+    word = dg.tangled_cord(5)
+    data = pickle.dumps(word)
+
+    def refuse(self, letters):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(dg.Dow, "__init__", refuse)
+    assert pickle.loads(data).letters == word.letters
 
 
 # ---------------------------------------------------------- occurrences

@@ -41,7 +41,6 @@ from __future__ import annotations
 import csv
 import os
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 from math import prod
 from typing import TextIO
@@ -49,7 +48,7 @@ from typing import TextIO
 from .errors import InputError, InternalCheckError, TooLargeError
 from .counting import count_words, fibonacci
 from .maximality import _verdicts
-from .words import Dow, render, tangled_cord
+from .words import Dow, _Frozen, render, tangled_cord
 # bench/spans.py wraps both here by name; they stay importable
 from .maximality import analyze  # noqa: F401
 from .words import class_representative  # noqa: F401
@@ -72,10 +71,11 @@ CENSUS_LIMIT = 8
 OFFENDERS_KEPT = 5
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(_Frozen):
     """One class representative with its headline numbers."""
 
+    __slots__ = ("representative", "count", "bound", "is_maximal", "is_composition",
+                 "has_framing_cord")
     representative: Dow
     count: int
     bound: int
@@ -83,20 +83,47 @@ class CensusRecord:
     is_composition: bool
     has_framing_cord: bool
 
+    def __init__(
+        self,
+        representative: Dow,
+        count: int,
+        bound: int,
+        is_maximal: bool,
+        is_composition: bool,
+        has_framing_cord: bool,
+    ) -> None:
+        self.__setstate__(
+            (representative, count, bound, is_maximal, is_composition, has_framing_cord)
+        )
 
-@dataclass(frozen=True)
-class CensusSummary:
+
+class CensusSummary(_Frozen):
     """The census tallies and its verdict.  ``failures`` holds, in a fixed
     order, one entry per check that failed: its label and the first few
     offending representatives.  It is empty exactly when the census comes
     out clean, and it stays out of the JSON form."""
 
+    __slots__ = ("n", "total_classes", "maximal_classes", "bound_violations",
+                 "equivalence_failures", "failures")
     n: int
     total_classes: int
     maximal_classes: tuple[Dow, ...]
     bound_violations: int
     equivalence_failures: int
-    failures: tuple[tuple[str, tuple[Dow, ...]], ...] = ()
+    failures: tuple[tuple[str, tuple[Dow, ...]], ...]
+
+    def __init__(
+        self,
+        n: int,
+        total_classes: int,
+        maximal_classes: tuple[Dow, ...],
+        bound_violations: int,
+        equivalence_failures: int,
+        failures: tuple[tuple[str, tuple[Dow, ...]], ...] = (),
+    ) -> None:
+        self.__setstate__(
+            (n, total_classes, maximal_classes, bound_violations, equivalence_failures, failures)
+        )
 
     def to_json_dict(self) -> dict:
         return {

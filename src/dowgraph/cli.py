@@ -23,7 +23,8 @@ from .words import parse, render, split_composition, tangled_cord
 # attributes of this module, so that tests and bench/spans.py can patch
 # them here by name.  Each is bound on first access (see __getattr__), so a
 # command imports only the layers it runs: count and tc load no graph,
-# enumeration, maximality or census code.
+# enumeration, maximality or census code, and analyze and framing load
+# maximality but no graph, enumeration or census code.
 _LAZY = {
     "build_graph": "graphs",
     "to_dot": "graphs",

@@ -16,10 +16,8 @@ vertex, i.e. consecutive edges are always neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, NotIncidentError
-from .words import Dow, occurrences, render
+from .words import Dow, _Frozen, occurrences, render
 
 __all__ = [
     "AssemblyGraph",
@@ -31,9 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class AssemblyGraph:
-    """Incidence data derived from a word; build with :func:`build_graph`."""
+class AssemblyGraph(_Frozen):
+    """Incidence data derived from a word; build with :func:`build_graph`.
+
+    A graph is equal only to itself, and hashes by identity: it holds a
+    dict, so its field tuple has no hash.
+    """
+
+    __slots__ = ("word", "straight_through", "edge_slots", "vertices")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     word: Dow
     # vertex -> its two straight-through pairs, each a frozenset of edge
@@ -44,6 +49,15 @@ class AssemblyGraph:
     edge_slots: tuple[tuple[int, int], ...]
     # sorted vertex letters; the slot of a letter is its index here
     vertices: tuple[int, ...]
+
+    def __init__(
+        self,
+        word: Dow,
+        straight_through: dict[int, tuple[frozenset[int], frozenset[int]]],
+        edge_slots: tuple[tuple[int, int], ...],
+        vertices: tuple[int, ...],
+    ) -> None:
+        self.__setstate__((word, straight_through, edge_slots, vertices))
 
     @property
     def n(self) -> int:
@@ -105,8 +119,7 @@ def are_neighbors(graph: AssemblyGraph, v: int, a: int, b: int) -> bool:
     return frozenset((a, b)) not in graph.straight_through[v]
 
 
-@dataclass(frozen=True)
-class PolygonalPath:
+class PolygonalPath(_Frozen):
     """A candidate path: vertices v_0..v_k and the edge chosen at each step.
 
     Stored direction-normalized so that a path and its reversal compare and
@@ -114,18 +127,16 @@ class PolygonalPath:
     here; graph-relative validity is the job of :func:`is_polygonal`.
     """
 
+    __slots__ = ("vertices", "edges")
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[int, ...]) -> None:
+        if not vertices:
             raise InputError("a path needs at least one vertex")
-        if len(self.edges) != len(self.vertices) - 1:
+        if len(edges) != len(vertices) - 1:
             raise InputError("a path on k+1 vertices needs exactly k edges")
-        flipped = (self.vertices[::-1], self.edges[::-1])
-        if flipped < (self.vertices, self.edges):
-            object.__setattr__(self, "vertices", flipped[0])
-            object.__setattr__(self, "edges", flipped[1])
+        self.__setstate__(min((vertices, edges), (vertices[::-1], edges[::-1])))
 
 
 def is_polygonal(graph: AssemblyGraph, path: PolygonalPath) -> bool:

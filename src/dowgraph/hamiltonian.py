@@ -25,7 +25,9 @@ visitor callback, so a consumer can write each set as it is reached and
 hold no list.  The mask scan, which runs :func:`hamiltonian_set_from_mask`
 over the Fibonacci-many masks of :func:`nonconsecutive_masks`, is the
 decoder of a single fingerprint and, with the brute-force path search, the
-oracle both engines are tested against.
+oracle both engines are tested against.  The same masks serve one more
+oracle, :func:`paired_endpoints_witness`, the graph-side twin of the parity
+verdict of :mod:`dowgraph.maximality`, which it is tested against.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "ENUMERATE_LIMIT",
     "fibonacci",
     "nonconsecutive_masks",
+    "paired_endpoints_witness",
     "alternating_mask",
     "mask_to_bits",
     "edge_mask",
@@ -81,6 +84,35 @@ def nonconsecutive_masks(num_bits: int) -> tuple[int, ...]:
         top = 1 << (k - 1)
         older, newer = newer, newer + [top | x for x in older]
     return tuple(newer)
+
+
+def paired_endpoints_witness(graph: AssemblyGraph) -> int | None:
+    """Graph-side twin of :func:`~dowgraph.maximality.even_split_witness`;
+    a test oracle.
+
+    Looks for up to n-1 pairwise non-consecutive transversal edges whose
+    endpoint list mentions no vertex exactly once; such a selection can
+    never be a union of vertex-disjoint polygonal paths.  Returns the first
+    witness in ascending mask order, or None.  It scans all F(2n+1) masks
+    without adjacent ones, so it serves only to cross-check the parity
+    verdict on small words.
+    """
+    n = graph.n
+    for mask in nonconsecutive_masks(graph.num_real_edges):
+        k = mask.bit_count()
+        if not 1 <= k <= n - 1:
+            continue
+        counts: dict[int, int] = {}
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            u, v = graph.edge_ends(low.bit_length())
+            counts[u] = counts.get(u, 0) + 1
+            counts[v] = counts.get(v, 0) + 1
+        if all(c != 1 for c in counts.values()):
+            return mask
+    return None
 
 
 def alternating_mask(n: int) -> int:

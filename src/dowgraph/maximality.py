@@ -3,11 +3,14 @@
 A word with n letters can have at most F_(2n+1) - 1 Hamiltonian sets, and
 the words reaching that bound are exactly the ones for which no proper,
 non-empty letter subset leaves only even-length pieces behind when deleted.
-This module implements that parity test, its graph-side twin (an edge set
-whose endpoints all pair up), and the constructive machinery around
-non-maximal words: greedy extraction of a framing cord, the recursive
+This module implements that parity test and the constructive machinery
+around non-maximal words: greedy extraction of a framing cord, the recursive
 even-split construction that the cord supports, and the minimal even split,
-whose projection is always a tangled cord.
+whose projection is always a tangled cord.  Its graph-side twin, the oracle
+:func:`~dowgraph.hamiltonian.paired_endpoints_witness`, lives with the mask
+scan it runs on.  The count that :func:`analyze` checks the verdict against
+comes from the counting programme, which reads the word's letters, so this
+module loads neither the graph layer nor the enumeration.
 
 The parity test rests on one fact.  Deleted positions p_1 < p_2 < ...
 (1-based) leave only even pieces exactly when p_j = j (mod 2) for every j
@@ -27,14 +30,14 @@ run really is a machine check of the underlying identities.
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Sequence
-from dataclasses import dataclass
 
+from .counting import count_words, fibonacci
 from .errors import InternalCheckError, PreconditionViolatedError
-from .graphs import AssemblyGraph, build_graph
-from .hamiltonian import count_hamiltonian_sets, fibonacci, nonconsecutive_masks
 from .words import (
     Dow,
+    _Frozen,
     _composition_cut,
     _is_tangled,
     canonicalize,
@@ -52,7 +55,6 @@ __all__ = [
     "EvenSplit",
     "MaximalityReport",
     "even_split_witness",
-    "paired_endpoints_witness",
     "is_framing_cord",
     "find_framing_cord",
     "even_split_from_cord",
@@ -61,6 +63,18 @@ __all__ = [
 ]
 
 CROSS_CHECK_LIMIT = 10
+
+# bench/spans.py wraps these two here by name, and nothing here calls them;
+# each is bound on first access, so analyze loads neither layer (as cli._LAZY)
+_SPANNED = {"build_graph": "graphs", "count_hamiltonian_sets": "hamiltonian"}
+
+
+def __getattr__(name: str):
+    if name not in _SPANNED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SPANNED[name]}", __package__)
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def _settle(
@@ -150,34 +164,6 @@ def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
         picked = _first_split_of_size(spots, bound, size)
         if picked is not None:
             return frozenset(letters[i] for i in picked)
-    return None
-
-
-def paired_endpoints_witness(graph: AssemblyGraph) -> int | None:
-    """Graph-side twin of :func:`even_split_witness`; a test oracle.
-
-    Looks for up to n-1 pairwise non-consecutive transversal edges whose
-    endpoint list mentions no vertex exactly once; such a selection can
-    never be a union of vertex-disjoint polygonal paths.  Returns the first
-    witness in ascending mask order, or None.  It scans all F(2n+1) masks
-    without adjacent ones, so it serves only to cross-check the parity
-    verdict on small words.
-    """
-    n = graph.n
-    for mask in nonconsecutive_masks(graph.num_real_edges):
-        k = mask.bit_count()
-        if not 1 <= k <= n - 1:
-            continue
-        counts: dict[int, int] = {}
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            u, v = graph.edge_ends(low.bit_length())
-            counts[u] = counts.get(u, 0) + 1
-            counts[v] = counts.get(v, 0) + 1
-        if all(c != 1 for c in counts.values()):
-            return mask
     return None
 
 
@@ -345,13 +331,16 @@ def _verdicts(
     return split, is_composition, cord
 
 
-@dataclass(frozen=True)
-class EvenSplit:
+class EvenSplit(_Frozen):
     """A witness subset and its projection, which the verdict core has
     already checked to be a tangled cord; the JSON form says so."""
 
+    __slots__ = ("sigma", "projection")
     sigma: frozenset[int]
     projection: Dow
+
+    def __init__(self, sigma: frozenset[int], projection: Dow) -> None:
+        self.__setstate__((sigma, projection))
 
     def to_json_dict(self) -> dict:
         return {
@@ -361,8 +350,7 @@ class EvenSplit:
         }
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(_Frozen):
     """Everything this package can say about one word.
 
     ``word`` is the canonical form of the analyzed word, and all letters
@@ -372,11 +360,22 @@ class MaximalityReport:
     exactly when it has none.
     """
 
+    __slots__ = ("word", "count", "is_composition", "framing_cord", "minimal_even_split")
     word: Dow
     count: int | None
     is_composition: bool
     framing_cord: tuple[int, ...] | None
     minimal_even_split: EvenSplit | None
+
+    def __init__(
+        self,
+        word: Dow,
+        count: int | None,
+        is_composition: bool,
+        framing_cord: tuple[int, ...] | None,
+        minimal_even_split: EvenSplit | None,
+    ) -> None:
+        self.__setstate__((word, count, is_composition, framing_cord, minimal_even_split))
 
     @property
     def n(self) -> int:
@@ -427,15 +426,15 @@ def analyze(word: Dow) -> MaximalityReport:
     """Full maximality report for one word.
 
     The verdict comes from the parity test.  For words with at most
-    :data:`CROSS_CHECK_LIMIT` letters the Hamiltonian sets are also counted
-    outright, and the report's ``consistent`` property compares the two;
+    :data:`CROSS_CHECK_LIMIT` letters the Hamiltonian sets are also counted,
+    by :func:`~dowgraph.counting.count_words` on the canonical word, and the
+    report's ``consistent`` property compares the two;
     callers that want a hard failure on disagreement should check it.
     """
     canonical = canonicalize(word)
     minimal, is_composition, cord = _verdicts(canonical)
     split = None if minimal is None else EvenSplit(minimal[0], Dow(minimal[1]))
-    count = (count_hamiltonian_sets(build_graph(canonical))
-             if canonical.n <= CROSS_CHECK_LIMIT else None)
+    count = count_words([canonical])[0] if canonical.n <= CROSS_CHECK_LIMIT else None
     return MaximalityReport(
         word=canonical,
         count=count,

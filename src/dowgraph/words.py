@@ -58,7 +58,8 @@ class _Frozen:
     tuple, the repr reads ``Name(field=value, ...)``, and assigning or
     deleting an attribute raises :class:`AttributeError`.  Pickling and
     copying carry the field tuple and restore it as it was, without
-    validating again.
+    validating again.  A subclass's ``__init__`` validates its arguments and
+    sets the fields in slot order through ``__setstate__``.
     """
 
     __slots__ = ()
@@ -117,7 +118,7 @@ class Dow(_Frozen):
         for a, c in counts.items():
             if c != 2:
                 raise NotDoubleOccurrenceError(f"letter {a} occurs {c} time(s), expected 2")
-        object.__setattr__(self, "letters", letters)
+        self.__setstate__((letters,))
 
     @property
     def n(self) -> int:
@@ -148,9 +149,7 @@ class Segment(_Frozen):
     letters: tuple[int, ...]
 
     def __init__(self, start: int, end: int, letters: tuple[int, ...]) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "letters", letters)
+        self.__setstate__((start, end, letters))
 
 
 class SubwordSplit(_Frozen):
@@ -160,7 +159,7 @@ class SubwordSplit(_Frozen):
     segments: tuple[Segment, ...]
 
     def __init__(self, segments: tuple[Segment, ...]) -> None:
-        object.__setattr__(self, "segments", segments)
+        self.__setstate__((segments,))
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(s.letters) for s in self.segments)

@@ -51,6 +51,19 @@ def renamed_dows(draw, min_n: int = 1, max_n: int = 5, max_letter: int = 99):
     return word, dg.Dow(tuple(mapping[a] for a in word.letters))
 
 
+def doctored(record: dg.CensusRecord, *, count: int | None = None,
+             is_maximal: bool | None = None) -> dg.CensusRecord:
+    """A copy of a census record with its count or its verdict replaced."""
+    return dg.CensusRecord(
+        representative=record.representative,
+        count=record.count if count is None else count,
+        bound=record.bound,
+        is_maximal=record.is_maximal if is_maximal is None else is_maximal,
+        is_composition=record.is_composition,
+        has_framing_cord=record.has_framing_cord,
+    )
+
+
 @dataclass(frozen=True)
 class CensusData:
     classes: list[dg.Dow]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import multiprocessing
-from dataclasses import replace
 
 import pytest
 
@@ -20,6 +19,8 @@ from dowgraph.census import (
     summarize_records,
     write_records_csv,
 )
+
+from conftest import doctored
 
 
 # --------------------------------------------------------- raw generation
@@ -271,8 +272,8 @@ def test_summary_names_a_count_over_the_bound_and_a_false_maximal(census_by_n):
     def doctor(records):
         by_word = {dg.render(r.representative): k for k, r in enumerate(records)}
         over, odd = by_word["121332"], by_word["123123"]
-        records[over] = replace(records[over], count=records[over].bound + 1)
-        records[odd] = replace(records[odd], is_maximal=True)
+        records[over] = doctored(records[over], count=records[over].bound + 1)
+        records[odd] = doctored(records[odd], is_maximal=True)
         return records
 
     summary = _doctored_summary(census_by_n, doctor)
@@ -286,7 +287,7 @@ def test_summary_names_a_count_over_the_bound_and_a_false_maximal(census_by_n):
 
 def test_summary_names_a_missing_tangled_cord(census_by_n):
     summary = _doctored_summary(
-        census_by_n, lambda records: [replace(r, count=r.bound - 1, is_maximal=False)
+        census_by_n, lambda records: [doctored(r, count=r.bound - 1, is_maximal=False)
                                       for r in records]
     )
     assert summary.maximal_classes == ()
@@ -295,7 +296,7 @@ def test_summary_names_a_missing_tangled_cord(census_by_n):
 
 def test_summary_keeps_the_first_few_of_many(census_by_n):
     summary = _doctored_summary(
-        census_by_n, lambda records: [replace(r, count=r.bound + 1) for r in records]
+        census_by_n, lambda records: [doctored(r, count=r.bound + 1) for r in records]
     )
     classes = tuple(enumerate_dow_classes(3))
     assert summary.failures == (

@@ -10,13 +10,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import dowgraph as dg
 from dowgraph.cli import main
+
+from conftest import doctored
 
 
 def run_cli(capsys, *argv):
@@ -143,7 +144,7 @@ def test_analyze_text_report_of_a_non_maximal_word(capsys):
 
 
 def test_analyze_count_against_parity_is_exit_two(capsys, monkeypatch):
-    monkeypatch.setattr("dowgraph.maximality.count_hamiltonian_sets", lambda graph: 3)
+    monkeypatch.setattr("dowgraph.maximality.count_words", lambda words: [3])
     code, out, err = run_cli(capsys, "analyze", "1212")
     assert code == 2
     assert "count: 3" in out.splitlines()
@@ -377,8 +378,8 @@ def test_failed_census_names_the_offending_words(capsys, monkeypatch):
         by_word = {dg.render(r.representative): k for k, r in enumerate(records)}
         over, odd = by_word["121332"], by_word["123123"]
         # one count above the bound, one non-composition class called maximal
-        records[over] = replace(records[over], count=records[over].bound + 1)
-        records[odd] = replace(records[odd], is_maximal=True)
+        records[over] = doctored(records[over], count=records[over].bound + 1)
+        records[odd] = doctored(records[odd], is_maximal=True)
         return records
 
     records = _doctored_census(monkeypatch, doctor)
@@ -397,7 +398,7 @@ def test_failed_census_names_the_offending_words(capsys, monkeypatch):
 
 def test_failed_census_names_a_missing_tangled_cord(capsys, monkeypatch):
     def doctor(records):
-        return [replace(r, count=r.bound - 1, is_maximal=False) for r in records]
+        return [doctored(r, count=r.bound - 1, is_maximal=False) for r in records]
 
     _doctored_census(monkeypatch, doctor)
     code, out, err = run_cli(capsys, "census", "3")
@@ -407,7 +408,7 @@ def test_failed_census_names_a_missing_tangled_cord(capsys, monkeypatch):
 
 
 def test_failed_census_keeps_the_first_few_of_many(capsys, monkeypatch):
-    _doctored_census(monkeypatch, lambda records: [replace(r, count=r.bound + 1) for r in records])
+    _doctored_census(monkeypatch, lambda records: [doctored(r, count=r.bound + 1) for r in records])
     code, _, err = run_cli(capsys, "census", "3")
     assert code == 2
     violations = err.splitlines()[1].split(": ")

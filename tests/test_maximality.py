@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dowgraph as dg
+from dowgraph.hamiltonian import nonconsecutive_masks, paired_endpoints_witness
 
 from conftest import dows, renamed_dows
 
@@ -129,10 +130,10 @@ def test_endpoint_witness_on_loop_word():
 
 
 def test_endpoint_witness_agrees_with_parity(census_by_n):
-    for n in (2, 3, 4):
+    for n in range(1, 6):
         for word in census_by_n[n].classes:
             parity = dg.even_split_witness(word) is None
-            endpoint = dg.paired_endpoints_witness(dg.build_graph(word)) is None
+            endpoint = paired_endpoints_witness(dg.build_graph(word)) is None
             assert parity == endpoint, dg.render(word)
 
 
@@ -384,6 +385,18 @@ def test_report_canonicalizes_its_input():
     report = dg.analyze(dg.parse("7373"))
     assert report.word == dg.parse("1212")
     assert report.is_maximal
+
+
+def test_report_count_matches_the_mask_scan_on_every_small_class(census_by_n):
+    # the oracle: the masks without adjacent ones that decode to a set
+    for n in range(1, 6):
+        for word in census_by_n[n].classes:
+            graph = dg.build_graph(word)
+            scanned = sum(dg.hamiltonian_set_from_mask(graph, mask) is not None
+                          for mask in nonconsecutive_masks(graph.num_real_edges))
+            report = dg.analyze(word)
+            assert report.count == scanned, dg.render(word)
+            assert report.consistent, dg.render(word)
 
 
 def test_cross_check_limit_skips_counting():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -50,16 +51,26 @@ def _loaded(code: str, *args: str) -> tuple[list[str], set[str]]:
     return lines[:cut], set(lines[cut + 1:]) - set(bare.stdout.splitlines())
 
 
+# what analyze and framing need beyond that: maximality, and no graph or
+# enumeration code
+VERDICT = ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "dowgraph.census", "csv")
+
+
 @pytest.mark.parametrize(
     "commands, output, absent",
     [
         (["count 1212", "tc 3"], ["4", "121323"], LEAN + ("json",)),
         (["count 1212", "count 1212 --format json", "tc 3"], ["4", "4", "121323"], LEAN),
         (["enumerate 1212"], ["000  [1][2]", "100  [1-2]", "010  [1-2]", "001  [1-2]"],
-         ("dowgraph.census", "dowgraph.maximality")),
-        (["analyze 11"], None, ("dowgraph.census", "csv")),
+         ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
+        (["export-dot 1212"], None, ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
+        (["analyze 11"], None, VERDICT),
+        (["framing 1212"], ["1 2"], VERDICT),
+        (["census 3 --format csv"], None, ("dowgraph.graphs", "dowgraph.hamiltonian",
+                                           "dataclasses")),
     ],
-    ids=["count-and-tc-text", "count-and-tc-json", "enumerate", "analyze"],
+    ids=["count-and-tc-text", "count-and-tc-json", "enumerate", "export-dot", "analyze",
+         "framing", "census"],
 )
 def test_a_command_loads_only_the_layers_it_runs(commands, output, absent):
     printed, loaded = _loaded(PROBE, *commands)
@@ -74,3 +85,18 @@ def test_count_loads_the_counting_programme_and_the_word_layer_only():
     assert sorted(m for m in loaded if m.startswith("dowgraph")) == [
         "dowgraph", "dowgraph.cli", "dowgraph.counting", "dowgraph.errors", "dowgraph.words",
     ]
+
+
+def test_analyze_loads_the_verdict_and_the_counting_programme_only():
+    _, loaded = _loaded(PROBE, "analyze 121323 --format json", "framing 1122")
+    assert sorted(m for m in loaded if m.startswith("dowgraph")) == [
+        "dowgraph", "dowgraph.cli", "dowgraph.counting", "dowgraph.errors",
+        "dowgraph.maximality", "dowgraph.words",
+    ]
+
+
+def test_no_module_imports_dataclasses():
+    # it imports inspect, ast and dis, which no command needs
+    for path in sorted((SRC / "dowgraph").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", text, re.M), path.name

@@ -1,12 +1,12 @@
 """Double occurrence words, their assembly graphs, and exact enumeration of
 Hamiltonian sets of polygonal paths, with an exhaustive small-n census.
 
-Each module's ``__all__`` is the one list of its public names; the package
-re-exports them all (the counting programme's through
-:mod:`dowgraph.hamiltonian`).  The re-exports resolve on first access:
-``import dowgraph`` loads no module, ``dowgraph.parse`` loads the modules up
-to the one that defines it, and ``dowgraph.__all__`` or ``from dowgraph
-import *`` loads them all.
+Each module's ``__all__`` is the one list of its public names, and the
+package re-exports them all, each from the module that defines it.  The
+modules and their names resolve on first access: ``import dowgraph`` loads
+no module, ``dowgraph.count_words`` loads the modules up to the counting
+programme's, and ``dowgraph.__all__`` or ``from dowgraph import *`` loads
+them all.
 """
 
 import importlib
@@ -14,7 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 # in dependency order, so that a name is found before any module past its own loads
-_MODULES = ("errors", "words", "graphs", "hamiltonian", "maximality", "census")
+_MODULES = ("errors", "words", "counting", "graphs", "hamiltonian", "maximality", "census")
 
 
 def __getattr__(name: str):

@@ -83,19 +83,6 @@ class CensusRecord(_Frozen):
     is_composition: bool
     has_framing_cord: bool
 
-    def __init__(
-        self,
-        representative: Dow,
-        count: int,
-        bound: int,
-        is_maximal: bool,
-        is_composition: bool,
-        has_framing_cord: bool,
-    ) -> None:
-        self.__setstate__(
-            (representative, count, bound, is_maximal, is_composition, has_framing_cord)
-        )
-
 
 class CensusSummary(_Frozen):
     """The census tallies and its verdict.  ``failures`` holds, in a fixed
@@ -111,19 +98,7 @@ class CensusSummary(_Frozen):
     bound_violations: int
     equivalence_failures: int
     failures: tuple[tuple[str, tuple[Dow, ...]], ...]
-
-    def __init__(
-        self,
-        n: int,
-        total_classes: int,
-        maximal_classes: tuple[Dow, ...],
-        bound_violations: int,
-        equivalence_failures: int,
-        failures: tuple[tuple[str, tuple[Dow, ...]], ...] = (),
-    ) -> None:
-        self.__setstate__(
-            (n, total_classes, maximal_classes, bound_violations, equivalence_failures, failures)
-        )
+    _defaults = {"failures": ()}
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,7 +131,7 @@ def iter_canonical_words(n: int) -> Iterator[Dow]:
             if word[q] == 0:
                 word[q] = letter
                 if letter == n:
-                    yield Dow(tuple(word))
+                    yield Dow(word)
                 else:
                     yield from rec(letter + 1, first + 1)
                 word[q] = 0
@@ -239,7 +214,7 @@ def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
 
     def keep(word: list[int]) -> None:
         if _is_representative(word):
-            classes.append(Dow(tuple(word)))
+            classes.append(Dow(word))
 
     _walk_trie(n, prefix, 2 * n, keep)
     return classes
@@ -279,15 +254,9 @@ def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[CensusRecord]:
     records = []
     for word, count in zip(words, count_words(words)):
         split, is_composition, cord = _verdicts(word)
+        # positional: the keyword path costs about three times as much per record
         records.append(
-            CensusRecord(
-                representative=word,
-                count=count,
-                bound=bound,
-                is_maximal=split is None,
-                is_composition=is_composition,
-                has_framing_cord=cord is not None,
-            )
+            CensusRecord(word, count, bound, split is None, is_composition, cord is not None)
         )
     return records
 

@@ -9,8 +9,7 @@ only on the prefix read, so a batch shares the steps of common prefixes.
 
 The programme reads the letters of a word and nothing else, so this module
 needs neither the graph layer nor the enumeration, and ``dowgraph count``
-loads neither.  :mod:`dowgraph.hamiltonian` re-exports its public names
-next to the enumeration.
+and ``dowgraph.count_words`` load neither.
 """
 
 from __future__ import annotations

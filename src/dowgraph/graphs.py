@@ -16,6 +16,8 @@ vertex, i.e. consecutive edges are always neighbors.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .errors import InputError, NotIncidentError
 from .words import Dow, _Frozen, occurrences, render
 
@@ -50,15 +52,6 @@ class AssemblyGraph(_Frozen):
     # sorted vertex letters; the slot of a letter is its index here
     vertices: tuple[int, ...]
 
-    def __init__(
-        self,
-        word: Dow,
-        straight_through: dict[int, tuple[frozenset[int], frozenset[int]]],
-        edge_slots: tuple[tuple[int, int], ...],
-        vertices: tuple[int, ...],
-    ) -> None:
-        self.__setstate__((word, straight_through, edge_slots, vertices))
-
     @property
     def n(self) -> int:
         return self.word.n
@@ -91,12 +84,7 @@ def build_graph(word: Dow) -> AssemblyGraph:
     edge_slots = tuple(
         (slot[word.letters[i - 1]], slot[word.letters[i]]) for i in range(1, two_n)
     )
-    return AssemblyGraph(
-        word=word,
-        straight_through=straight,
-        edge_slots=edge_slots,
-        vertices=verts,
-    )
+    return AssemblyGraph(word, straight, edge_slots, verts)
 
 
 def are_neighbors(graph: AssemblyGraph, v: int, a: int, b: int) -> bool:
@@ -131,7 +119,8 @@ class PolygonalPath(_Frozen):
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
 
-    def __init__(self, vertices: tuple[int, ...], edges: tuple[int, ...]) -> None:
+    def __init__(self, vertices: Iterable[int], edges: Iterable[int]) -> None:
+        vertices, edges = tuple(vertices), tuple(edges)
         if not vertices:
             raise InputError("a path needs at least one vertex")
         if len(edges) != len(vertices) - 1:

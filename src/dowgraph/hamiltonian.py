@@ -14,8 +14,8 @@ straight-through pair, so no vertex gets degree three; such a mask is a
 fingerprint exactly when its edges contain no loop and no cycle.
 
 Counting runs the frontier dynamic programme of :mod:`dowgraph.counting`,
-whose names this module re-exports; that module reads letters only, so
-counting a word needs neither the graph layer nor this module.
+which reads letters only, so counting a word needs neither the graph layer
+nor this module; :func:`count_hamiltonian_sets` is its one-graph case.
 
 Enumeration is a depth-first search over the edges that joins paths as it
 takes edges and refuses every loop and cycle, so it visits only the
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
-from .counting import count_words, fibonacci
+from .counting import count_words
 from .errors import (
     ConsecutiveEdgesError,
     InputError,
@@ -47,7 +47,6 @@ from .graphs import AssemblyGraph, PolygonalPath, are_neighbors, is_polygonal
 __all__ = [
     "BRUTE_FORCE_LIMIT",
     "ENUMERATE_LIMIT",
-    "fibonacci",
     "nonconsecutive_masks",
     "paired_endpoints_witness",
     "alternating_mask",
@@ -56,7 +55,6 @@ __all__ = [
     "hamiltonian_set_from_mask",
     "is_hamiltonian_set",
     "count_hamiltonian_sets",
-    "count_words",
     "enumerate_hamiltonian_sets",
     "brute_force_hamiltonian_sets",
     "format_hamiltonian_set",
@@ -158,41 +156,15 @@ def edge_mask(graph: AssemblyGraph, hamset: frozenset[PolygonalPath]) -> int:
     return mask
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _selects_disjoint_paths(graph: AssemblyGraph, mask: int) -> bool:
-    """Does the mask's edge set induce vertex-disjoint simple paths?
-
-    Rejects loops and cycles, the parallel two-edge kind included.  Assumes
-    the mask has no two adjacent bits, which already guarantees corner turns
-    at shared vertices and induced degree at most two.
-    """
-    parent = list(range(graph.n))
-    slots = graph.edge_slots
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        u, v = slots[low.bit_length() - 1]
-        if u == v:
-            return False
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
 def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[PolygonalPath] | None:
     """Decode a mask back into its Hamiltonian set, or None.
 
     None means the selected edges do not induce vertex-disjoint paths.  A
     mask with two adjacent bits is rejected outright because two consecutive
-    edges can only continue straight through their shared vertex.
+    edges can only continue straight through their shared vertex.  Without
+    them no vertex has degree three, so the edges form paths and cycles
+    only: a loop is refused as it is read, the paths are walked from their
+    ends, and a vertex with an edge that no walk reached lies on a cycle.
     """
     if mask & (mask << 1):
         raise ConsecutiveEdgesError("mask selects two consecutively indexed edges")
@@ -200,8 +172,6 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
         raise ConsecutiveEdgesError(
             f"mask has bits beyond edge e_{graph.num_real_edges}"
         )
-    if not _selects_disjoint_paths(graph, mask):
-        return None
 
     adjacency: dict[int, list[tuple[int, int]]] = {}
     m = mask
@@ -210,6 +180,8 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
         m ^= low
         e = low.bit_length()
         u, v = graph.edge_ends(e)
+        if u == v:
+            return None
         adjacency.setdefault(u, []).append((e, v))
         adjacency.setdefault(v, []).append((e, u))
 
@@ -229,7 +201,9 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
             es.append(e)
             vs.append(other)
             visited.add(other)
-        paths.append(PolygonalPath(tuple(vs), tuple(es)))
+        paths.append(PolygonalPath(vs, es))
+    if len(visited) != len(adjacency):
+        return None
     for v in graph.vertices:
         if v not in adjacency:
             paths.append(PolygonalPath((v,), ()))
@@ -346,7 +320,7 @@ def _all_polygonal_paths(graph: AssemblyGraph) -> list[PolygonalPath]:
                 continue
             vs.append(other)
             es.append(e)
-            candidate = PolygonalPath(tuple(vs), tuple(es))
+            candidate = PolygonalPath(vs, es)
             if is_polygonal(graph, candidate):
                 found.add(candidate)
             extend(vs, es)

@@ -339,9 +339,6 @@ class EvenSplit(_Frozen):
     sigma: frozenset[int]
     projection: Dow
 
-    def __init__(self, sigma: frozenset[int], projection: Dow) -> None:
-        self.__setstate__((sigma, projection))
-
     def to_json_dict(self) -> dict:
         return {
             "sigma": sorted(self.sigma),
@@ -366,16 +363,6 @@ class MaximalityReport(_Frozen):
     is_composition: bool
     framing_cord: tuple[int, ...] | None
     minimal_even_split: EvenSplit | None
-
-    def __init__(
-        self,
-        word: Dow,
-        count: int | None,
-        is_composition: bool,
-        framing_cord: tuple[int, ...] | None,
-        minimal_even_split: EvenSplit | None,
-    ) -> None:
-        self.__setstate__((word, count, is_composition, framing_cord, minimal_even_split))
 
     @property
     def n(self) -> int:

@@ -58,11 +58,40 @@ class _Frozen:
     tuple, the repr reads ``Name(field=value, ...)``, and assigning or
     deleting an attribute raises :class:`AttributeError`.  Pickling and
     copying carry the field tuple and restore it as it was, without
-    validating again.  A subclass's ``__init__`` validates its arguments and
-    sets the fields in slot order through ``__setstate__``.
+    validating again.
+
+    The constructor takes the fields in slot order, positionally or by
+    keyword; only a field named in ``_defaults`` may be left out.  A missing,
+    unknown or repeated field, or too many arguments, is a
+    :class:`TypeError`.  A subclass that validates its arguments writes its
+    own ``__init__`` and sets the fields in slot order through
+    ``__setstate__``.
     """
 
     __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(args, kwargs)
+        self.__setstate__(args)
+
+    def _bind(self, args: tuple, kwargs: dict) -> tuple:
+        names, cls = self.__slots__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields but {len(args)} were given")
+        given = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls}() got an unknown field {name!r}")
+            if name in given:
+                raise TypeError(f"{cls}() got field {name!r} twice")
+            given[name] = value
+        fields = {**self._defaults, **given}
+        missing = [name for name in names if name not in fields]
+        if missing:
+            raise TypeError(f"{cls}() is missing field(s) {', '.join(map(repr, missing))}")
+        return tuple([fields[name] for name in names])
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -107,7 +136,8 @@ class Dow(_Frozen):
     __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __init__(self, letters: tuple[int, ...]) -> None:
+    def __init__(self, letters: Iterable[int]) -> None:
+        letters = tuple(letters)
         if not letters:
             raise EmptyWordError("a word needs at least one letter")
         counts: dict[int, int] = {}
@@ -148,18 +178,12 @@ class Segment(_Frozen):
     end: int
     letters: tuple[int, ...]
 
-    def __init__(self, start: int, end: int, letters: tuple[int, ...]) -> None:
-        self.__setstate__((start, end, letters))
-
 
 class SubwordSplit(_Frozen):
     """The ordered segments that remain after deleting a letter subset."""
 
     __slots__ = ("segments",)
     segments: tuple[Segment, ...]
-
-    def __init__(self, segments: tuple[Segment, ...]) -> None:
-        self.__setstate__((segments,))
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(s.letters) for s in self.segments)
@@ -188,7 +212,7 @@ def parse(text: str) -> Dow:
     if _COMPACT_RE.match(stripped):
         if "0" in stripped:
             raise BadTokenError("digit 0 is not a letter; compact form covers letters 1..9")
-        return Dow(tuple(int(c) for c in stripped))
+        return Dow(int(c) for c in stripped)
     letters = []
     for token in re.split(r"[,\s]+", stripped):
         if not token:
@@ -197,7 +221,7 @@ def parse(text: str) -> Dow:
         if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise BadTokenError(f"bad letter token {token!r}")
         letters.append(int(token))
-    return Dow(tuple(letters))
+    return Dow(letters)
 
 
 def render(word: Dow) -> str:

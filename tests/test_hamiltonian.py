@@ -145,6 +145,12 @@ def test_loop_edge_is_invalid():
     assert dg.hamiltonian_set_from_mask(g, 0b1) is None
 
 
+def test_a_cycle_beside_a_path_is_invalid():
+    # e_2 is the path 1-2; e_5, e_7 and e_9 close the triangle 3-4-5
+    g = dg.build_graph(dg.parse("1122343545"))
+    assert dg.hamiltonian_set_from_mask(g, 0b101010010) is None
+
+
 def test_valid_mask_decodes_to_expected_paths():
     g = dg.build_graph(dg.parse("112323"))
     hs = dg.hamiltonian_set_from_mask(g, (1 << 1) | (1 << 4))

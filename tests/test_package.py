@@ -15,7 +15,8 @@ import dowgraph as dg
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-MODULES = (dg.census, dg.errors, dg.graphs, dg.hamiltonian, dg.maximality, dg.words)
+MODULES = (dg.census, dg.counting, dg.errors, dg.graphs, dg.hamiltonian, dg.maximality,
+           dg.words)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -41,6 +42,14 @@ def test_importing_the_package_loads_no_module():
 @pytest.mark.parametrize("name", [m.__name__.split(".")[1] for m in MODULES])
 def test_module_names_are_the_submodules(name):
     assert getattr(dg, name) is importlib.import_module(f"dowgraph.{name}")
+
+
+@pytest.mark.parametrize("name", [m.__name__.split(".")[1] for m in MODULES])
+def test_a_module_name_resolves_on_first_access(name):
+    code = f"import dowgraph; print(dowgraph.{name}.__name__)"
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.split()) == (0, [f"dowgraph.{name}"]), run.stderr
 
 
 def test_star_import_binds_every_package_name():

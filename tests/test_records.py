@@ -101,12 +101,64 @@ def test_census_records_cross_worker_processes(monkeypatch):
         assert back == here and hash(back) == hash(here) and repr(back) == repr(here)
 
 
+# ------------------------------------------------------ the one constructor
+# Every plain record takes its fields in slot order, positionally or by
+# keyword, through the constructor of ``words._Frozen``.
+
+RECORDS = [
+    pytest.param(dg.Segment, (2, 3, (4, 5)), id="Segment"),
+    pytest.param(dg.SubwordSplit, ((dg.Segment(2, 3, (4, 5)),),), id="SubwordSplit"),
+    pytest.param(dg.AssemblyGraph, dg.build_graph(dg.parse("1212")).__getstate__(),
+                 id="AssemblyGraph"),
+    pytest.param(EvenSplit, (frozenset({1}), dg.Dow((1, 1))), id="EvenSplit"),
+    pytest.param(MaximalityReport, _REPORT_FIELDS, id="MaximalityReport"),
+    pytest.param(dg.CensusRecord, _RECORD_FIELDS, id="CensusRecord"),
+    pytest.param(dg.CensusSummary, _SUMMARY_FIELDS, id="CensusSummary"),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS)
+def test_positional_and_keyword_construction_agree(cls, fields):
+    (first, value), *rest = zip(cls.__slots__, fields)
+    for built in (cls(*fields), cls(**dict(zip(cls.__slots__, fields))), cls(value, **dict(rest))):
+        assert type(built) is cls and built.__getstate__() == fields
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS)
+def test_a_bad_field_list_is_a_type_error(cls, fields):
+    (first, value), *rest = zip(cls.__slots__, fields)
+    with pytest.raises(TypeError, match="missing"):
+        cls(**dict(rest))
+    with pytest.raises(TypeError, match="unknown"):
+        cls(*fields, other=1)
+    with pytest.raises(TypeError, match="twice"):
+        cls(*fields, **{first: value})
+    with pytest.raises(TypeError, match="takes"):
+        cls(*fields, None)
+
+
+def test_a_summary_without_failures_has_none():
+    fields = dict(zip(dg.CensusSummary.__slots__, _SUMMARY_FIELDS[:-1]))
+    assert dg.CensusSummary(*_SUMMARY_FIELDS[:-1]).failures == ()
+    assert dg.CensusSummary(**fields).failures == ()
+    with pytest.raises(TypeError, match="missing"):
+        dg.CensusSummary(*_SUMMARY_FIELDS[:-2])
+
+
 # ------------------------------------------------------ paths and graphs
 
 def test_a_path_is_stored_in_its_smaller_direction():
     path = dg.PolygonalPath((3, 2, 1), (5, 2))
     assert (path.vertices, path.edges) == ((1, 2, 3), (2, 5))
     assert dg.PolygonalPath(vertices=(2,), edges=()) == dg.PolygonalPath((2,), ())
+
+
+@pytest.mark.parametrize("make", [list, lambda t: (a for a in t)], ids=["list", "generator"])
+def test_a_path_stores_tuples_whatever_sequences_it_is_given(make):
+    path = dg.PolygonalPath(make((3, 2, 1)), make((5, 2)))
+    assert type(path.vertices) is tuple and type(path.edges) is tuple
+    assert path == dg.PolygonalPath((1, 2, 3), (2, 5))
+    assert hash(path) == hash(dg.PolygonalPath((1, 2, 3), (2, 5)))
 
 
 @pytest.mark.parametrize("vertices, edges", [((), ()), ((1, 2), ()), ((1,), (1,)),

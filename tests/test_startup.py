@@ -87,6 +87,14 @@ def test_count_loads_the_counting_programme_and_the_word_layer_only():
     ]
 
 
+def test_the_package_counting_name_loads_the_counting_programme_and_the_word_layer_only():
+    code = "import sys, dowgraph; dowgraph.count_words; print('--'); print(*sys.modules, sep='\\n')"
+    _, loaded = _loaded(code)
+    assert sorted(m for m in loaded if m.startswith("dowgraph")) == [
+        "dowgraph", "dowgraph.counting", "dowgraph.errors", "dowgraph.words",
+    ]
+
+
 def test_analyze_loads_the_verdict_and_the_counting_programme_only():
     _, loaded = _loaded(PROBE, "analyze 121323 --format json", "framing 1122")
     assert sorted(m for m in loaded if m.startswith("dowgraph")) == [

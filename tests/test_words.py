@@ -158,6 +158,13 @@ def test_unpickling_a_word_does_not_validate_it_again(monkeypatch):
     assert pickle.loads(data).letters == word.letters
 
 
+@pytest.mark.parametrize("make", [list, lambda t: (a for a in t)], ids=["list", "generator"])
+def test_a_word_stores_a_tuple_whatever_sequence_it_is_given(make):
+    word = dg.Dow(make((1, 2, 1, 2)))
+    assert word.letters == (1, 2, 1, 2) and type(word.letters) is tuple
+    assert word == dg.Dow((1, 2, 1, 2)) and hash(word) == hash(dg.Dow((1, 2, 1, 2)))
+
+
 # ---------------------------------------------------------- occurrences
 
 def test_occurrences_example():

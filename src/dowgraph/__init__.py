@@ -6,7 +6,8 @@ package re-exports them all, each from the module that defines it.  The
 modules and their names resolve on first access: ``import dowgraph`` loads
 no module, ``dowgraph.count_words`` loads the modules up to the counting
 programme's, and ``dowgraph.__all__`` or ``from dowgraph import *`` loads
-them all.
+them all.  ``dowgraph.cli`` resolves on first access too, but re-exports
+nothing.
 """
 
 import importlib
@@ -20,7 +21,7 @@ _MODULES = ("errors", "words", "counting", "graphs", "hamiltonian", "maximality"
 def __getattr__(name: str):
     if name == "__all__":
         value = [n for module in _MODULES for n in __getattr__(module).__all__]
-    elif name in _MODULES:
+    elif name in _MODULES or name == "cli":
         return importlib.import_module(f"{__name__}.{name}")
     else:
         for module in map(__getattr__, _MODULES):

@@ -339,17 +339,9 @@ def run_census(n: int, threads: int = 1, unsafe_large: bool = False) -> CensusSu
 def write_records_csv(records: list[CensusRecord], stream: TextIO) -> None:
     """One row per class; booleans spelled lowercase for easy ingestion."""
     writer = csv.writer(stream)
-    writer.writerow(
-        ["representative", "count", "bound", "is_maximal", "is_composition", "has_framing_cord"]
+    writer.writerow(CensusRecord.__slots__)
+    writer.writerows(
+        (render(r.representative), r.count, r.bound, str(r.is_maximal).lower(),
+         str(r.is_composition).lower(), str(r.has_framing_cord).lower())
+        for r in records
     )
-    for r in records:
-        writer.writerow(
-            [
-                render(r.representative),
-                r.count,
-                r.bound,
-                str(r.is_maximal).lower(),
-                str(r.is_composition).lower(),
-                str(r.has_framing_cord).lower(),
-            ]
-        )

@@ -117,18 +117,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    # after stdout failed, so that the flush at interpreter exit cannot raise again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    """The ``--output`` file, opened for writing, or stdout without one."""
-    if not path:
-        yield sys.stdout
-        return
+    """The ``--output`` file, opened for writing, or stdout without one.
+
+    A failed open, write or close is an input problem, as is a failed write
+    to stdout, which is flushed at the end so that a buffered stdout fails
+    here too.  A reader that closed stdout is left to :func:`run`.
+    """
     try:
-        handle = open(path, "w", encoding="utf-8")
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                yield handle
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    with handle:
-        yield handle
+        if not path:
+            if isinstance(exc, BrokenPipeError):
+                raise
+            _stdout_to_devnull()
+        raise InputError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -163,19 +177,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"projecting to {render(split.projection)}"
             )
         _emit("\n".join(lines), args.output)
-    if not report.consistent:
-        print(
-            f"internal check failed: count {report.count} disagrees with the "
-            f"parity verdict on {render(report.word)}",
-            file=sys.stderr,
-        )
-        return 2
     return 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    value = count_words([parse(" ".join(args.word))])[0]
-    _emit(_dumps(value) if args.format == "json" else str(value), args.output)
+    # an int's JSON text is its decimal text, so both formats print the same
+    _emit(str(count_words([parse(" ".join(args.word))])[0]), args.output)
     return 0
 
 
@@ -288,12 +295,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     try:
         status = main()
-        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout (as `| head` does): exit 1 quietly, and
-        # point stdout at devnull so the flush at interpreter exit cannot
-        # raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout (as `| head` does): exit 1 quietly
+        _stdout_to_devnull()
         status = 1
     sys.exit(status)
 

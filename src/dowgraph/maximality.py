@@ -354,7 +354,8 @@ class MaximalityReport(_Frozen):
     mentioned elsewhere in the report refer to that relabeling.  ``count``
     is None when n exceeded the cross-check limit and counting was
     skipped.  The verdict is the minimal even split: the word is maximal
-    exactly when it has none.
+    exactly when it has none.  A count that contradicts the verdict never
+    makes a report: :func:`analyze` raises instead.
     """
 
     __slots__ = ("word", "count", "is_composition", "framing_cord", "minimal_even_split")
@@ -382,13 +383,6 @@ class MaximalityReport(_Frozen):
         split = self.minimal_even_split
         return None if split is None else split.sigma
 
-    @property
-    def consistent(self) -> bool:
-        """Does the count agree with the parity verdict?"""
-        if self.count is None:
-            return True
-        return (self.count == self.bound) == self.is_maximal
-
     def to_json_dict(self) -> dict:
         return {
             "word": render(self.word),
@@ -414,18 +408,17 @@ def analyze(word: Dow) -> MaximalityReport:
 
     The verdict comes from the parity test.  For words with at most
     :data:`CROSS_CHECK_LIMIT` letters the Hamiltonian sets are also counted,
-    by :func:`~dowgraph.counting.count_words` on the canonical word, and the
-    report's ``consistent`` property compares the two;
-    callers that want a hard failure on disagreement should check it.
+    by :func:`~dowgraph.counting.count_words` on the canonical word.  A
+    count that disagrees with the verdict, reaching the bound exactly when
+    the word is not maximal, raises :class:`~dowgraph.errors.InternalCheckError`.
     """
     canonical = canonicalize(word)
     minimal, is_composition, cord = _verdicts(canonical)
     split = None if minimal is None else EvenSplit(minimal[0], Dow(minimal[1]))
     count = count_words([canonical])[0] if canonical.n <= CROSS_CHECK_LIMIT else None
-    return MaximalityReport(
-        word=canonical,
-        count=count,
-        is_composition=is_composition,
-        framing_cord=cord,
-        minimal_even_split=split,
-    )
+    report = MaximalityReport(canonical, count, is_composition, cord, split)
+    if count is not None and (count == report.bound) != report.is_maximal:
+        raise InternalCheckError(
+            f"count {count} disagrees with the parity verdict on {render(canonical)}"
+        )
+    return report

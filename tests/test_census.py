@@ -354,6 +354,7 @@ def test_csv_writer_roundtrip(census_by_n):
     assert rows[0] == [
         "representative", "count", "bound", "is_maximal", "is_composition", "has_framing_cord",
     ]
+    assert tuple(rows[0]) == dg.CensusRecord.__slots__
     assert rows[1] == ["1122", "2", "4", "false", "true", "false"]
     assert len(rows) == 4
 

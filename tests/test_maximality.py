@@ -361,7 +361,6 @@ def test_report_on_bound_attaining_word():
     assert report.minimal_even_split is None
     assert not report.is_composition
     assert report.framing_cord == (1, 2, 3, 4, 5)
-    assert report.consistent
 
 
 def test_report_on_composition():
@@ -378,7 +377,14 @@ def test_report_on_composition():
     assert split.sigma == frozenset({1})
     assert split.projection == dg.parse("11")
     assert dg.is_tangled_cord(split.projection)
-    assert report.consistent
+
+
+def test_a_count_that_contradicts_the_verdict_raises(monkeypatch):
+    # 1212 is maximal, so its count must be the bound, 4
+    monkeypatch.setattr("dowgraph.maximality.count_words", lambda words: [3])
+    with pytest.raises(dg.InternalCheckError,
+                       match="count 3 disagrees with the parity verdict on 1212"):
+        dg.analyze(dg.parse("1212"))
 
 
 def test_report_canonicalizes_its_input():
@@ -396,14 +402,12 @@ def test_report_count_matches_the_mask_scan_on_every_small_class(census_by_n):
                           for mask in nonconsecutive_masks(graph.num_real_edges))
             report = dg.analyze(word)
             assert report.count == scanned, dg.render(word)
-            assert report.consistent, dg.render(word)
 
 
 def test_cross_check_limit_skips_counting():
     assert dg.CROSS_CHECK_LIMIT == 10
     report = dg.analyze(dg.tangled_cord(11))
     assert report.count is None
-    assert report.consistent
     assert report.is_maximal
     # at the limit the sets are still counted
     assert dg.analyze(dg.tangled_cord(10)).count == dg.fibonacci(21) - 1

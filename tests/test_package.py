@@ -52,6 +52,14 @@ def test_a_module_name_resolves_on_first_access(name):
     assert (run.returncode, run.stdout.split()) == (0, [f"dowgraph.{name}"]), run.stderr
 
 
+def test_the_cli_module_resolves_on_first_access():
+    # it is no package name: it has no __all__ and adds none to the union
+    code = "import dowgraph; print(dowgraph.cli.__name__, 'cli' in dowgraph.__all__)"
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.split()) == (0, ["dowgraph.cli", "False"]), run.stderr
+
+
 def test_star_import_binds_every_package_name():
     namespace: dict = {}
     exec("from dowgraph import *", namespace)

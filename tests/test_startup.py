@@ -60,7 +60,8 @@ VERDICT = ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "dowgraph.c
     "commands, output, absent",
     [
         (["count 1212", "tc 3"], ["4", "121323"], LEAN + ("json",)),
-        (["count 1212", "count 1212 --format json", "tc 3"], ["4", "4", "121323"], LEAN),
+        (["count 1212", "count 1212 --format json", "tc 3"], ["4", "4", "121323"],
+         LEAN + ("json",)),
         (["enumerate 1212"], ["000  [1][2]", "100  [1-2]", "010  [1-2]", "001  [1-2]"],
          ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
         (["export-dot 1212"], None, ("dowgraph.census", "dowgraph.maximality", "dataclasses")),

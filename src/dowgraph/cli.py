@@ -65,6 +65,13 @@ def _dumps(payload: object) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file: TextIO | None = None) -> None:
+        # argparse ignores a failed write; help on stdout fails as any output does
+        if file is not None:
+            return super().print_help(file)
+        with _output(None) as out:
+            out.write(self.format_help())
+
     # usage problems are input problems: exit 1, not argparse's default 2
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -280,9 +287,8 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

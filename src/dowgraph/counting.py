@@ -14,7 +14,6 @@ and ``dowgraph.count_words`` load neither.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable
 
 from .errors import InputError
@@ -115,23 +114,41 @@ def _read(state: tuple, c: int) -> tuple:
         b, x, x_closes = last
         states = _step(states, x, x_closes, y)
         if x_closes:
-            slot_of, freed = {a: s for a, s in slot_of.items() if a != b}, freed + (x,)
+            slot_of, freed = slot_of.copy(), freed + (x,)
+            del slot_of[b]
     return states, slot_of, freed, (c, y, closes)
 
 
 def _step(states: dict, x: int, x_closes: bool, y: int) -> dict:
-    """Decide the edge from slot ``x`` to slot ``y``, then free ``x`` if its letter closes."""
-    nxt: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
+    """Decide the edge from slot ``x`` to slot ``y``, then free ``x`` if its letter closes.
+
+    Each mate array maps to ``[free, taken]``, the selections that left the
+    last edge out and those that took it.  The new map is a plain dict, and
+    a mate array met for the first time enters it as ``[n, 0]`` or
+    ``[0, n]``: the step runs once per letter and state, and a
+    ``defaultdict`` factory would cost a call per new entry.
+    """
+    nxt: dict[tuple[int, ...], list[int]] = {}
     for p, (free, taken) in states.items():
         q = list(p)
         if x_closes:
             q[q[x]], q[x] = q[x], x
-        nxt[tuple(q)][0] += free + taken
+        q = tuple(q)
+        counts = nxt.get(q)
+        if counts is None:
+            nxt[q] = [free + taken, 0]
+        else:
+            counts[0] += free + taken
         # refuse a loop and a cycle (y is x's mate); the joined path's ends become mates
         if free and x != y != p[x]:
             q = list(p)
             q[x], q[y], q[p[x]], q[p[y]] = x, y, p[y], p[x]
             if x_closes:
                 q[q[x]], q[x] = q[x], x
-            nxt[tuple(q)][1] += free
+            q = tuple(q)
+            counts = nxt.get(q)
+            if counts is None:
+                nxt[q] = [0, free]
+            else:
+                counts[1] += free
     return nxt

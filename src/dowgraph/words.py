@@ -65,11 +65,27 @@ class _Frozen:
     unknown or repeated field, or too many arguments, is a
     :class:`TypeError`.  A subclass that validates its arguments writes its
     own ``__init__`` and sets the fields in slot order through
-    ``__setstate__``.
+    ``__setstate__``; :meth:`_restore` builds an instance from fields that
+    were validated before, as unpickling does.
     """
 
     __slots__ = ()
     _defaults: dict[str, object] = {}
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # each slot's member descriptor sets its field past __setattr__,
+        # without object.__setattr__'s lookup by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _restore(cls, fields: tuple):
+        """An instance with ``fields`` in slot order, set without validating
+        them again, as unpickling sets them."""
+        self = cls.__new__(cls)
+        self.__setstate__(fields)
+        return self
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         if kwargs or len(args) != len(self.__slots__):
@@ -118,8 +134,8 @@ class _Frozen:
         return self._fields()
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, state):
+            set_field(self, value)
 
 
 class Dow(_Frozen):

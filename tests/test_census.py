@@ -192,6 +192,12 @@ def test_worker_fanout_does_not_change_records():
         assert census_records(4, threads=threads) == serial
 
 
+def test_subtrie_rows_are_plain_values():
+    rows = census._analyze_subtrie(3, (1, 2, 1))
+    assert rows == [((1, 2, 1, 3, 2, 3), 12, True, False, True),
+                    ((1, 2, 1, 3, 3, 2), 9, False, False, True)]
+
+
 class _SerialPool:
     """Stands in for multiprocessing.Pool: records its size and its task
     count, and maps in process, starting no process."""

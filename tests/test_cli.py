@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -293,6 +294,53 @@ def test_enumerate_streams_in_bounded_memory(fmt):
     assert peak < 1 << 20
 
 
+def _census_csv_by_row(records):
+    """The census CSV as ``csv.writer`` writes it, one row at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(dg.CensusRecord.__slots__)
+    for r in records:
+        writer.writerow((dg.render(r.representative), r.count, r.bound, str(r.is_maximal).lower(),
+                         str(r.is_composition).lower(), str(r.has_framing_cord).lower()))
+    return buffer.getvalue()
+
+
+def test_census_csv_writes_in_blocks(census_by_n):
+    # the header and 5,363 rows go out 256 lines at a time, not one write a row
+    sink = _Recording()
+    with contextlib.redirect_stdout(sink):
+        code = main(["census", "6", "--format", "csv"])
+    assert code == 0
+    assert len(sink.parts) == 21
+    assert "".join(sink.parts) == _census_csv_by_row(census_by_n[6].records)
+
+
+def test_census_csv_matches_csv_writer_on_wide_and_doctored_records(census_by_n):
+    # letters past 9 render with spaces, which csv.writer leaves unquoted
+    records = [
+        dg.CensusRecord(dg.tangled_cord(12), 7, 8, True, False, True),
+        *(doctored(r, count=r.bound + 1, is_maximal=not r.is_maximal)
+          for r in census_by_n[3].records),
+    ]
+    buffer = io.StringIO()
+    dg.write_records_csv(records, buffer)
+    assert buffer.getvalue() == _census_csv_by_row(records)
+    assert buffer.getvalue().splitlines()[1].startswith("1 2 1 3 2 4 3 5 4 6 ")
+
+
+def test_census_csv_buffer_stays_bounded(census_by_n):
+    # the census 6 CSV is about 150 kB; the writer holds one block of it
+    records = census_by_n[6].records
+    tracemalloc.start()
+    try:
+        dg.write_records_csv(records, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(_census_csv_by_row(records)) > 1 << 17
+    assert peak < 1 << 16
+
+
 # ------------------------------------------------------------------- tc
 
 def test_tc_prints_the_word(capsys):
@@ -537,11 +585,13 @@ def test_a_failed_write_to_the_output_file_is_exit_one(capsys, argv):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["tc", "3"], ["census", "4", "--format", "csv"]])
+@pytest.mark.parametrize("argv", [["tc", "3"], ["census", "4", "--format", "csv"], ["--help"],
+                                  ["census", "--help"]])
 def test_a_failed_write_to_stdout_is_exit_one(argv, unbuffered):
     # a buffered stdout fails only when it is flushed, an unbuffered one at
     # the first write; either way the interpreter's own flush at exit must
-    # not fail again
+    # not fail again.  argparse writes the help itself, and would ignore
+    # the failure.
     src = os.path.dirname(os.path.dirname(os.path.abspath(dg.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("PYTHONUNBUFFERED", None)

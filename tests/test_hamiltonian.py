@@ -235,6 +235,11 @@ def test_batch_count_matches_per_word_counts(words):
     assert dg.count_words(words) == expected
 
 
+def test_census_six_batch_total():
+    # the counting programme's whole census 6 batch, one sum to pin it
+    assert sum(dg.count_words(dg.enumerate_dow_classes(6))) == 815377
+
+
 def test_batch_count_through_shared_and_repeated_prefixes():
     texts = ["11", "1122", "11", "1122", "1122", "112233", "1212", "11", "121323", "1212"]
     words = [dg.parse(t) for t in texts]

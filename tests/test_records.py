@@ -5,7 +5,7 @@ layers return, as ``tests/test_words.py`` states it for ``Dow``.
 ``PolygonalPath`` are immutable values: ``==`` and ``hash`` follow the field
 tuple, and the repr names every field.  A Hamiltonian set is a frozenset of
 paths, so its iteration order follows their hash values, and the census
-pickles every record it sends back from a worker process.
+builds its records from the rows its worker processes send back.
 ``AssemblyGraph`` holds a dict, so it is equal only to itself and hashes by
 identity.
 """
@@ -80,7 +80,8 @@ def test_records_refuse_assignment(value, equal, unequal, fields, text):
 def _copies(value) -> list:
     copies = [pickle.loads(pickle.dumps(value, protocol))
               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
-    return copies + [copy.copy(value), copy.deepcopy(value)]
+    # _restore sets the fields as unpickling does
+    return copies + [copy.copy(value), copy.deepcopy(value), type(value)._restore(value._fields())]
 
 
 @pytest.mark.parametrize("value, equal, unequal, fields, text", VALUES)
@@ -91,13 +92,15 @@ def test_records_survive_pickle_and_copy(value, equal, unequal, fields, text):
 
 
 def test_census_records_cross_worker_processes(monkeypatch):
-    # two workers even on a one-CPU machine, so the records really are pickled
+    # two workers even on a one-CPU machine, so the rows really are pickled;
+    # the parent builds each record and its word from them
     monkeypatch.setattr(dg.census.os, "cpu_count", lambda: 2)
-    serial = dg.census_records(4)
-    fanned = dg.census_records(4, threads=2)
-    assert len(fanned) == len(serial) == 65
+    serial = dg.census_records(5)
+    fanned = dg.census_records(5, threads=2)
+    assert len(fanned) == len(serial) == 513
     for back, here in zip(fanned, serial):
         assert type(back) is dg.CensusRecord
+        assert type(back.representative) is type(here.representative) is dg.Dow
         assert back == here and hash(back) == hash(here) and repr(back) == repr(here)
 
 

@@ -68,7 +68,7 @@ VERDICT = ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "dowgraph.c
         (["analyze 11"], None, VERDICT),
         (["framing 1212"], ["1 2"], VERDICT),
         (["census 3 --format csv"], None, ("dowgraph.graphs", "dowgraph.hamiltonian",
-                                           "dataclasses")),
+                                           "dataclasses", "csv")),
     ],
     ids=["count-and-tc-text", "count-and-tc-json", "enumerate", "export-dot", "analyze",
          "framing", "census"],

@@ -74,11 +74,10 @@ def nonconsecutive_masks(num_bits: int) -> tuple[int, ...]:
     """
     if num_bits < 0:
         raise InputError("num_bits must be non-negative")
+    # the masks on -1 and on 0 bits
     older: list[int] = [0]
-    newer: list[int] = [0, 1]
-    if num_bits == 0:
-        return (0,)
-    for k in range(2, num_bits + 1):
+    newer: list[int] = [0]
+    for k in range(1, num_bits + 1):
         top = 1 << (k - 1)
         older, newer = newer, newer + [top | x for x in older]
     return tuple(newer)

@@ -170,18 +170,23 @@ def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
 def is_framing_cord(word: Dow, cord: Sequence[int]) -> bool:
     """Does the ordered letter sequence frame the word?
 
-    Requires the first cord letter to open the word, the last to close it,
-    and the projection onto the cord letters to interlock in the tangled
-    pattern.  Each letter occurs twice, so the projection has the pattern's
-    length 2s only when the s cord letters are distinct letters of the word.
-    The empty cord has no pattern, so it is refused first.
+    Requires a non-empty cord of distinct letters whose first letter opens
+    the word and whose last closes it, and whose letters project onto the
+    tangled pattern, interlocking each with the one before it.
     """
-    cord = tuple(cord)
-    if not cord:
+    return _frames(word.letters, tuple(cord))
+
+
+def _frames(letters: Sequence[int], cord: tuple[int, ...]) -> bool:
+    # is_framing_cord on any sequence; distinctness must be asked for, since
+    # in a sequence that is not a word a repeated cord letter can still
+    # project onto the pattern, as (1, 2, 1) does on 12133121
+    keep = set(cord)
+    if not cord or len(keep) != len(cord):
         return False
-    if word.letters[0] != cord[0] or word.letters[-1] != cord[-1]:
+    if letters[0] != cord[0] or letters[-1] != cord[-1]:
         return False
-    return project(word, cord) == cord_pattern(cord)
+    return tuple([a for a in letters if a in keep]) == cord_pattern(cord)
 
 
 def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
@@ -250,10 +255,13 @@ def _even_split_rec(letters: tuple[int, ...], cord: tuple[int, ...]) -> frozense
 def even_split_from_cord(letters: Sequence[int], cord: Sequence[int]) -> frozenset[int]:
     """Build a letter set with an all-even split from a framing cord.
 
-    ``letters`` may be any even-length sequence in which every symbol shows
-    up at most twice; recursion on prefixes needs that generality.  The word
-    must be strictly longer than twice the cord, otherwise deleting anything
-    cannot leave non-trivial even pieces and the call is refused.
+    ``letters`` may be any even-length sequence, not only a word; recursion
+    on prefixes needs that generality.  It must be strictly longer than
+    twice the cord, otherwise deleting anything cannot leave non-trivial
+    even pieces.  Past those length checks there is one structural refusal:
+    the cord must frame the letters, by the rule :func:`is_framing_cord`
+    states.  Every refusal is a
+    :class:`~dowgraph.errors.PreconditionViolatedError`.
     """
     letters = tuple(letters)
     cord = tuple(cord)
@@ -266,14 +274,8 @@ def even_split_from_cord(letters: Sequence[int], cord: Sequence[int]) -> frozens
         )
     if len(letters) < 2 * s:
         raise PreconditionViolatedError("the cord does not fit the word")
-    occ = _cord_occurrences(letters, cord)
-    if any(len(ps) != 2 for ps in occ.values()):
-        raise PreconditionViolatedError("every cord letter must occur exactly twice")
-    if letters[0] != cord[0] or letters[-1] != cord[-1]:
-        raise PreconditionViolatedError("the cord must open and close the word")
-    flat = tuple(a for a in letters if a in occ)
-    if flat != cord_pattern(cord):
-        raise PreconditionViolatedError("the cord letters do not interlock as a cord")
+    if not _frames(letters, cord):
+        raise PreconditionViolatedError("the cord does not frame the word")
     sigma = _even_split_rec(letters, cord)
     if not delete_letters(letters, sigma).all_even():
         raise InternalCheckError(
@@ -289,21 +291,8 @@ def minimal_even_split(word: Dow) -> tuple[frozenset[int], Dow] | None:
     projection is checked to be a tangled cord; that identity is the point
     of the whole construction, so its failure is an internal error.
     """
-    sigma = even_split_witness(word)
-    if sigma is None:
-        return None
-    return sigma, Dow(_tangled_projection(word, sigma))
-
-
-def _tangled_projection(word: Dow, sigma: frozenset[int]) -> tuple[int, ...]:
-    # the projection onto sigma, checked to be a tangled cord
-    content = project(word, sigma)
-    if not _is_tangled(content):
-        raise InternalCheckError(
-            f"minimal split {sorted(sigma)} of {render(word)} projects to "
-            f"{render(Dow(content))}, which is not a tangled cord"
-        )
-    return content
+    split = _verdicts(word)[0]
+    return None if split is None else (split[0], Dow(split[1]))
 
 
 def _verdicts(
@@ -321,7 +310,14 @@ def _verdicts(
     """
     pairs = occurrences(word)
     sigma = _even_split(pairs)
-    split = None if sigma is None else (sigma, _tangled_projection(word, sigma))
+    split = None
+    if sigma is not None:
+        split = sigma, project(word, sigma)
+        if not _is_tangled(split[1]):
+            raise InternalCheckError(
+                f"minimal split {sorted(sigma)} of {render(word)} projects to "
+                f"{render(Dow(split[1]))}, which is not a tangled cord"
+            )
     is_composition = _composition_cut(word.letters) is not None
     cord = _framing_cord(word, pairs)
     if (cord is None) != is_composition:

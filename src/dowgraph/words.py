@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+from itertools import groupby
 
 from .errors import (
     BadTokenError,
@@ -316,19 +317,12 @@ def delete_letters(letters: Sequence[int], sigma: Iterable[int]) -> SubwordSplit
     if not kill:
         raise SigmaEmptyError("the deleted letter set must be non-empty")
     segments: list[Segment] = []
-    run_start = None
-    run: list[int] = []
-    for pos, a in enumerate(letters, start=1):
-        if a in kill:
-            if run:
-                segments.append(Segment(run_start, pos - 1, tuple(run)))
-                run, run_start = [], None
-        else:
-            if not run:
-                run_start = pos
-            run.append(a)
-    if run:
-        segments.append(Segment(run_start, len(letters), tuple(run)))
+    start = 1
+    for killed, group in groupby(letters, kill.__contains__):
+        run = tuple(group)
+        if not killed:
+            segments.append(Segment(start, start + len(run) - 1, run))
+        start += len(run)
     return SubwordSplit(tuple(segments))
 
 
@@ -359,13 +353,10 @@ def cord_pattern(cord: Sequence[int]) -> tuple[int, ...]:
     """The tangled pattern t_1 t_2 t_1 t_3 t_2 ... t_s t_(s-1) t_s over an
     ordered letter sequence: each letter starts inside the span of the one
     before it and ends after it.  A framing cord's letters project to it."""
-    s = len(cord)
-    if s == 0:
+    if not cord:
         raise PreconditionViolatedError("a cord needs at least one letter")
-    if s == 1:
-        return (cord[0], cord[0])
-    out = [cord[0], cord[1], cord[0]]
-    for k in range(2, s):
+    out = [cord[0]]
+    for k in range(1, len(cord)):
         out.extend((cord[k], cord[k - 1]))
     out.append(cord[-1])
     return tuple(out)

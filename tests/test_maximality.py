@@ -168,6 +168,25 @@ def test_cord_pattern_is_a_tangled_cord():
                     assert a2 < b1
 
 
+def _written_pattern(cord):
+    """t_1 t_2 t_1 t_3 t_2 ... t_s t_(s-1) t_s by positions: t_k opens at
+    2k - 2 and closes at 2k + 1, except that t_1 opens at 1 and t_s closes
+    at 2s."""
+    s = len(cord)
+    out = [None] * (2 * s)
+    for k, a in enumerate(cord, start=1):
+        out[max(2 * k - 2, 1) - 1] = out[min(2 * k + 1, 2 * s) - 1] = a
+    return tuple(out)
+
+
+def test_cord_pattern_matches_the_written_pattern():
+    labels = (7, 3, 12, 1, 40, 5, 9, 2)
+    for s in range(1, 9):
+        assert dg.cord_pattern(labels[:s]) == _written_pattern(labels[:s])
+    for n in range(1, 61):
+        assert dg.tangled_cord(n).letters == _written_pattern(range(1, n + 1))
+
+
 def test_cord_pattern_is_defined_once():
     assert dg.maximality.cord_pattern is dg.words.cord_pattern is dg.cord_pattern
     assert dg.__all__.count("cord_pattern") == 1
@@ -315,6 +334,26 @@ def test_split_construction_preconditions():
         dg.even_split_from_cord((1, 2, 1, 3, 2, 1), (1, 2))  # 1 shows up thrice
     with pytest.raises(dg.PreconditionViolatedError):
         dg.even_split_from_cord((1, 1, 2, 2, 3, 3), (1, 3))  # no interlocking
+    with pytest.raises(dg.PreconditionViolatedError, match="does not frame"):
+        dg.even_split_from_cord((1, 1, 2, 2), ())            # empty cord
+    with pytest.raises(dg.PreconditionViolatedError, match="does not frame"):
+        # a repeated cord letter, though the letters project to its pattern
+        dg.even_split_from_cord((1, 2, 1, 3, 3, 1, 2, 1), (1, 2, 1))
+
+
+@given(
+    st.integers(0, 5).flatmap(lambda k: st.lists(st.integers(1, 5), min_size=2 * k,
+                                                 max_size=2 * k)),
+    st.lists(st.integers(1, 5), max_size=3),
+)
+@settings(max_examples=500, deadline=None)
+def test_split_construction_refuses_or_lands_even_on_any_sequence(letters, cord):
+    try:
+        sigma = dg.even_split_from_cord(letters, cord)
+    except dg.PreconditionViolatedError:
+        return
+    assert sigma <= set(cord)
+    assert dg.delete_letters(letters, sigma).all_even()
 
 
 @given(dows(min_n=2))

@@ -321,6 +321,39 @@ def test_delete_and_project_account_for_every_position(word, data):
     assert tuple(rebuilt[p] for p in range(1, len(word) + 1)) == word.letters
 
 
+def _runs_oracle(letters, sigma):
+    """The maximal runs of surviving positions, as (start, end, letters)."""
+    runs: list[list[int]] = []
+    for p, a in enumerate(letters, start=1):
+        if a in sigma:
+            continue
+        if runs and runs[-1][-1] == p - 1:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return [(run[0], run[-1], tuple(letters[p - 1] for p in run)) for run in runs]
+
+
+@pytest.mark.parametrize("sigma", [
+    {1},        # killed at the start
+    {6},        # killed at the end
+    {1, 6},     # at both ends
+    {1, 2, 3, 4, 5, 6},  # everywhere
+    {9},        # nowhere
+    {2, 5},     # inside only
+])
+def test_delete_letters_matches_positional_oracle(sigma):
+    letters = (1, 2, 3, 1, 4, 2, 5, 3, 5, 4, 6, 6)
+    split = dg.delete_letters(letters, sigma)
+    assert [(s.start, s.end, s.letters) for s in split.segments] == _runs_oracle(letters, sigma)
+
+
+@given(st.lists(st.integers(1, 4), max_size=12), st.sets(st.integers(1, 4), min_size=1))
+def test_delete_letters_matches_positional_oracle_on_any_sequence(letters, sigma):
+    split = dg.delete_letters(letters, sigma)
+    assert [(s.start, s.end, s.letters) for s in split.segments] == _runs_oracle(letters, sigma)
+
+
 def test_project_whole_alphabet_is_identity():
     word = dg.parse("121323")
     assert dg.project(word, word.alphabet) == word.letters

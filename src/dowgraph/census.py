@@ -17,7 +17,7 @@ count, the single bound-attaining class is the tangled cord, compositions
 are never maximal, and framing cords exist exactly off the compositions.
 The whole verdict is reached here, in :func:`summarize_records`: the last
 two facts raise at once, and the first three fill the summary's
-``failures``, which the command line only prints.
+``failures``, on which the command line raises after writing its output.
 
 Every class is counted: the bound check and the count/parity check cover the
 whole census, never a part of it.  Each task's classes are counted by one
@@ -92,7 +92,8 @@ class CensusSummary(_Frozen):
     """The census tallies and its verdict.  ``failures`` holds, in a fixed
     order, one entry per check that failed: its label and the first few
     offending representatives.  It is empty exactly when the census comes
-    out clean, and it stays out of the JSON form."""
+    out clean, and it stays out of the JSON form; the command line raises
+    on it after writing its output."""
 
     __slots__ = ("n", "total_classes", "maximal_classes", "bound_violations",
                  "equivalence_failures", "failures")

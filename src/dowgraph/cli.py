@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on any input or usage problem, 2 when an
 internal self-check fails (which would mean the library contradicted
-itself; report it).
+itself; report it).  They are decided in one place, main, for every
+command; a command whose check fails has written its output first.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TextIO
 
 from .counting import count_words
 from .errors import InputError, InternalCheckError
-from .words import parse, render, split_composition, tangled_cord
+from .words import _separator, _tangled_pieces, parse, render, split_composition
 
 # The handlers call the library functions of the heavier layers as
 # attributes of this module, so that tests and bench/spans.py can patch
@@ -159,7 +160,7 @@ def _emit(text: str, output: str | None) -> None:
         out.write(text)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> None:
     _load("analyze")
     report = analyze(parse(" ".join(args.word)))
     if args.format == "json":
@@ -184,16 +185,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"projecting to {render(split.projection)}"
             )
         _emit("\n".join(lines), args.output)
-    return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> None:
     # an int's JSON text is its decimal text, so both formats print the same
     _emit(str(count_words([parse(" ".join(args.word))])[0]), args.output)
-    return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> None:
     _load("build_graph", "_check_search_depth", "_search", "mask_to_bits")
     graph = build_graph(parse(" ".join(args.word)))
     _check_search_depth(graph)  # before --output is opened
@@ -227,16 +226,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                                              + "".join(filter(None, live)) + "\n"),
                     lambda p: "[" + "-".join(map(str, p.vertices)) + "]")
         out.write("".join(block))
-    return 0
 
 
-def _cmd_tc(args: argparse.Namespace) -> int:
-    word = render(tangled_cord(args.n))
-    _emit(_dumps(word) if args.format == "json" else word, args.output)
-    return 0
+def _cmd_tc(args: argparse.Namespace) -> None:
+    # written a piece at a time, so that memory stays bounded whatever n is;
+    # the JSON text of a word is its rendering in quotes
+    pieces = _tangled_pieces(args.n)  # refuses n < 1 before --output is opened
+    sep = _separator(args.n)
+    quote = '"' if args.format == "json" else ""
+    with _output(args.output) as out:
+        lead = quote
+        for piece in pieces:
+            out.write(lead + sep.join(map(str, piece)))
+            lead = sep
+        out.write(quote + "\n")
 
 
-def _cmd_census(args: argparse.Namespace) -> int:
+def _cmd_census(args: argparse.Namespace) -> None:
     _load("census_records", "summarize_records", "write_records_csv")
     records = census_records(args.n, threads=args.threads, unsafe_large=args.unsafe_large)
     summary = summarize_records(args.n, records)
@@ -255,17 +261,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
         ]
         _emit("\n".join(lines), args.output)
     if summary.failures:
-        print(
-            "internal check failed: census verification did not come out clean",
-            file=sys.stderr,
-        )
-        for label, words in summary.failures:
-            print(f"  {label}: " + " ".join(render(w) for w in words), file=sys.stderr)
-        return 2
-    return 0
+        raise InternalCheckError("census verification did not come out clean" + "".join(
+            f"\n  {label}: " + " ".join(render(w) for w in words)
+            for label, words in summary.failures))
 
 
-def _cmd_framing(args: argparse.Namespace) -> int:
+def _cmd_framing(args: argparse.Namespace) -> None:
     _load("find_framing_cord")
     word = parse(" ".join(args.word))
     cord = find_framing_cord(word)
@@ -277,25 +278,24 @@ def _cmd_framing(args: argparse.Namespace) -> int:
         text = " ".join(str(a) for a in cord)
         payload = {"word": render(word), "framing_cord": list(cord)}
     _emit(_dumps(payload) if args.format == "json" else text, args.output)
-    return 0
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: argparse.Namespace) -> None:
     _load("build_graph", "to_dot")
     _emit(to_dot(build_graph(parse(" ".join(args.word)))), args.output)
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

@@ -163,7 +163,8 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
     edges can only continue straight through their shared vertex.  Without
     them no vertex has degree three, so the edges form paths and cycles
     only: a loop is refused as it is read, the paths are walked from their
-    ends, and a vertex with an edge that no walk reached lies on a cycle.
+    ends in vertex order, a singleton being a walk with no edge, and a
+    vertex that no walk reached lies on a cycle.
     """
     if mask & (mask << 1):
         raise ConsecutiveEdgesError("mask selects two consecutively indexed edges")
@@ -172,7 +173,7 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
             f"mask has bits beyond edge e_{graph.num_real_edges}"
         )
 
-    adjacency: dict[int, list[tuple[int, int]]] = {}
+    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
     m = mask
     while m:
         low = m & -m
@@ -181,13 +182,13 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
         u, v = graph.edge_ends(e)
         if u == v:
             return None
-        adjacency.setdefault(u, []).append((e, v))
-        adjacency.setdefault(v, []).append((e, u))
+        adjacency[u].append((e, v))
+        adjacency[v].append((e, u))
 
     paths: list[PolygonalPath] = []
     visited: set[int] = set()
-    for start in sorted(adjacency):
-        if start in visited or len(adjacency[start]) != 1:
+    for start in graph.vertices:
+        if start in visited or len(adjacency[start]) > 1:
             continue
         vs = [start]
         es: list[int] = []
@@ -201,11 +202,8 @@ def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[Poly
             vs.append(other)
             visited.add(other)
         paths.append(PolygonalPath(vs, es))
-    if len(visited) != len(adjacency):
+    if len(visited) != len(graph.vertices):
         return None
-    for v in graph.vertices:
-        if v not in adjacency:
-            paths.append(PolygonalPath((v,), ()))
     return frozenset(paths)
 
 

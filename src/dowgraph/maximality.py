@@ -40,6 +40,7 @@ from .words import (
     _Frozen,
     _composition_cut,
     _is_tangled,
+    _occurrences,
     canonicalize,
     cord_pattern,
     delete_letters,
@@ -223,32 +224,21 @@ def _framing_cord(word: Dow, occ: dict[int, tuple[int, int]]) -> tuple[int, ...]
     return result
 
 
-def _cord_occurrences(letters: Sequence[int], cord: Sequence[int]) -> dict[int, list[int]]:
-    wanted = set(cord)
-    occ: dict[int, list[int]] = {a: [] for a in cord}
-    for pos, a in enumerate(letters, start=1):
-        if a in wanted:
-            occ[a].append(pos)
-    return occ
-
-
 def _even_split_rec(letters: tuple[int, ...], cord: tuple[int, ...]) -> frozenset[int]:
-    s = len(cord)
-    if s == 1:
-        return frozenset(cord)
-    occ = _cord_occurrences(letters, cord)
+    # the letters are framed by the cord, so each cord letter occurs twice
+    occ = _occurrences(letters)
     # first try to cut the word at an even-positioned second occurrence of a
     # non-final cord letter; the prefix inherits a shorter framing cord
-    for i in range(s - 1):
+    for i in range(len(cord) - 1):
         o2 = occ[cord[i]][1]
         if o2 % 2 == 0:
             return _even_split_rec(letters[:o2], cord[: i + 1])
     # otherwise an odd-positioned first occurrence flips into the case above
     # after reversal, which keeps both the letters and the split parities
-    for j in range(1, s):
+    for j in range(1, len(cord)):
         if occ[cord[j]][0] % 2 == 1:
             return _even_split_rec(letters[::-1], cord[::-1])
-    # no cut available: the whole cord works
+    # no cut available (always so for a one-letter cord): the whole cord works
     return frozenset(cord)
 
 
@@ -380,22 +370,18 @@ class MaximalityReport(_Frozen):
         return None if split is None else split.sigma
 
     def to_json_dict(self) -> dict:
+        # None stays None: a split and a cord are never empty, so never false
+        split, cord = self.minimal_even_split, self.framing_cord
         return {
             "word": render(self.word),
             "n": self.n,
             "count": self.count,
             "bound": self.bound,
             "is_maximal": self.is_maximal,
-            "failing_sigma": sorted(self.failing_sigma)
-            if self.failing_sigma is not None
-            else None,
+            "failing_sigma": split and sorted(split.sigma),
             "is_composition": self.is_composition,
-            "framing_cord": list(self.framing_cord)
-            if self.framing_cord is not None
-            else None,
-            "minimal_even_split": self.minimal_even_split.to_json_dict()
-            if self.minimal_even_split is not None
-            else None,
+            "framing_cord": cord and list(cord),
+            "minimal_even_split": split and split.to_json_dict(),
         }
 
 

@@ -18,9 +18,9 @@ representatives.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 
 from .errors import (
     BadTokenError,
@@ -247,9 +247,12 @@ def render(word: Dow) -> str:
     >>> render(Dow((1, 2, 1, 2)))
     '1212'
     """
-    if max(word.letters) <= 9:
-        return "".join(str(a) for a in word.letters)
-    return " ".join(str(a) for a in word.letters)
+    return _separator(max(word.letters)).join(map(str, word.letters))
+
+
+def _separator(top: int) -> str:
+    """What :func:`render` puts between letters when the largest is ``top``."""
+    return "" if top <= 9 else " "
 
 
 def occurrences(word: Dow) -> dict[int, tuple[int, int]]:
@@ -258,10 +261,18 @@ def occurrences(word: Dow) -> dict[int, tuple[int, int]]:
 
     >>> occurrences(parse("1212"))
     {1: (1, 3), 2: (2, 4)}
+
+    The same rule serves any letter sequence, where the pair is right for
+    each letter that occurs exactly twice; the cord recursion reads no other.
     """
+    return _occurrences(word.letters)
+
+
+def _occurrences(letters: Sequence[int]) -> dict[int, tuple[int, int]]:
+    # occurrences on any letter sequence
     pairs: dict[int, tuple[int, int]] = {}
     seen: dict[int, int] = {}
-    for pos, a in enumerate(word.letters, start=1):
+    for pos, a in enumerate(letters, start=1):
         if a in seen:
             pairs[a] = (seen[a], pos)
         else:
@@ -368,14 +379,25 @@ def tangled_cord(n: int) -> Dow:
     >>> [render(tangled_cord(k)) for k in (1, 2, 3, 4)]
     ['11', '1212', '121323', '12132434']
     """
-    if n < 1:
-        raise InputError("n must be at least 1")
     return Dow(_tangled_letters(n))
 
 
 @lru_cache(maxsize=32)
 def _tangled_letters(n: int) -> tuple[int, ...]:
-    return cord_pattern(range(1, n + 1))
+    return tuple(chain.from_iterable(_tangled_pieces(n)))
+
+
+_PIECE = 2048
+
+
+def _tangled_pieces(n: int) -> Iterator[tuple[int, ...]]:
+    """The letters of the tangled cord over 1..n, ``2 * _PIECE`` at most at a
+    time: :func:`cord_pattern`'s first letter, each letter with the one
+    before it, in windows, and its last.  n < 1 is refused at the call."""
+    if n < 1:
+        raise InputError("n must be at least 1")
+    return chain([(1,)], (cord_pattern(range(lo - 1, min(lo + _PIECE, n + 1)))[1:-1]
+                          for lo in range(2, n + 1, _PIECE)), [(n,)])
 
 
 def _is_tangled(letters: Sequence[int]) -> bool:

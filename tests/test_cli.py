@@ -17,6 +17,7 @@ import pytest
 
 import dowgraph as dg
 from dowgraph.cli import main
+from dowgraph.words import _PIECE
 
 from conftest import doctored
 
@@ -350,10 +351,40 @@ def test_tc_prints_the_word(capsys):
     assert json.loads(out) == "12132434"
 
 
-def test_tc_rejects_nonpositive_n(capsys):
+def test_tc_rejects_nonpositive_n(capsys, tmp_path):
     code, _, err = run_cli(capsys, "tc", "0")
     assert code == 1
     assert "error" in err
+    # before the output file is opened
+    target = tmp_path / "tc0"
+    code, out, err = run_cli(capsys, "tc", "0", "--output", str(target))
+    assert (code, out, err) == (1, "", "error: n must be at least 1\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 10, 11, _PIECE, _PIECE + 1, _PIECE + 2, _PIECE + 3,
+                               2 * _PIECE + 1, 2 * _PIECE + 2, 12345])
+def test_tc_is_the_rendered_cord_across_pieces(capsys, n):
+    # the cord is written a piece at a time; the seams must not show
+    word = dg.render(dg.tangled_cord(n))
+    assert run_cli(capsys, "tc", str(n)) == (0, word + "\n", "")
+    assert run_cli(capsys, "tc", str(n), "--format", "json") == (0, json.dumps(word) + "\n", "")
+
+
+def test_tc_writes_in_bounded_memory(tmp_path):
+    # 200,000 letter pairs make 2.6 MB of text; a writer that holds the
+    # whole cord, or its text, peaks far above 1 MiB
+    target = tmp_path / "tc.out"
+    tracemalloc.start()
+    try:
+        code = main(["tc", "200000", "--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20
+    # built here, not through tangled_cord, whose letters stay cached
+    assert target.read_text() == " ".join(map(str, dg.cord_pattern(range(1, 200001)))) + "\n"
 
 
 # --------------------------------------------------------------- census
@@ -423,7 +454,7 @@ def test_clean_census_names_no_words(capsys, monkeypatch):
     assert run_cli(capsys, "census", "3") == (0, CENSUS_3_TEXT, "")
 
 
-def test_failed_census_names_the_offending_words(capsys, monkeypatch):
+def test_failed_census_names_the_offending_words(capsys, monkeypatch, tmp_path):
     def doctor(records):
         by_word = {dg.render(r.representative): k for k, r in enumerate(records)}
         over, odd = by_word["121332"], by_word["123123"]
@@ -444,6 +475,11 @@ def test_failed_census_names_the_offending_words(capsys, monkeypatch):
         "  1 count/parity disagreement(s): 123123",
         "  1 unexpected maximal class(es): 123123",
     ]
+    # the same through --output: the whole CSV is written, then the check fails
+    target = tmp_path / "census.csv"
+    assert run_cli(capsys, "census", "3", "--format", "csv", "--output", str(target)) == (
+        2, "", err)
+    assert target.read_bytes() == out.encode()
 
 
 def test_failed_census_names_a_missing_tangled_cord(capsys, monkeypatch):

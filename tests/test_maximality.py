@@ -319,6 +319,10 @@ def test_split_construction_frozen_examples():
     # the whole cord is the answer
     assert dg.even_split_from_cord(dg.parse("121332").letters, (1, 2)) == {1, 2}
     assert dg.even_split_from_cord(dg.parse("12132443").letters, (1, 2, 3)) == {1, 2, 3}
+    # a one-letter cord has no cut
+    assert dg.even_split_from_cord((1, 2, 2, 1), (1,)) == {1}
+    # letters off the cord may occur any number of times: reversal, then a cut
+    assert dg.even_split_from_cord((1, 4, 2, 4, 1, 4, 4, 2), (1, 2)) == {2}
 
 
 def test_split_construction_preconditions():

@@ -21,11 +21,13 @@ from .errors import InputError, InternalCheckError
 from .words import _separator, _tangled_pieces, parse, render, split_composition
 
 # The handlers call the library functions of the heavier layers as
-# attributes of this module, so that tests and bench/spans.py can patch
-# them here by name.  Each is bound on first access (see __getattr__), so a
-# command imports only the layers it runs: count and tc load no graph,
-# enumeration, maximality or census code, and analyze and framing load
-# maximality but no graph, enumeration or census code.
+# attributes of this module, through _lib, so that tests and bench/spans.py
+# can patch them here by name.  Each name is resolved on every access and
+# never bound here (see __getattr__), so a patch in its own module is seen
+# here for as long as it lasts, and a command imports only the layers it
+# runs: count and tc load no graph, enumeration, maximality or census code,
+# and analyze and framing load maximality but no graph, enumeration or
+# census code.
 _LAZY = {
     "build_graph": "graphs",
     "to_dot": "graphs",
@@ -47,16 +49,11 @@ _LAZY = {
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __package__)
-    value = globals()[name] = getattr(module, name)
-    return value
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
 
 
-def _load(*names: str) -> None:
-    """Bind the named library functions here unless they are bound (or patched) already."""
-    for name in names:
-        if name not in globals():
-            __getattr__(name)
+# this module as its handlers see it, whether it runs as dowgraph.cli or as __main__
+_lib = sys.modules[__name__]
 
 
 def _dumps(payload: object) -> str:
@@ -161,8 +158,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
-    _load("analyze")
-    report = analyze(parse(" ".join(args.word)))
+    report = _lib.analyze(parse(" ".join(args.word)))
     if args.format == "json":
         _emit(_dumps(report.to_json_dict()), args.output)
     else:
@@ -193,9 +189,10 @@ def _cmd_count(args: argparse.Namespace) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
-    _load("build_graph", "_check_search_depth", "_search", "mask_to_bits")
-    graph = build_graph(parse(" ".join(args.word)))
-    _check_search_depth(graph)  # before --output is opened
+    graph = _lib.build_graph(parse(" ".join(args.word)))
+    _lib._check_search_depth(graph)  # before --output is opened
+    # the visitor runs once per set, so it reads these two once per call
+    search, mask_to_bits = _lib._search, _lib.mask_to_bits
     width = graph.num_real_edges
     # each set's text is made as the search reaches it, from fragments made
     # once per path, and written 256 sets at a time, since on an unbuffered
@@ -217,14 +214,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
                 write((",\n" if mask else "[\n") + '  {\n    "mask": "' + mask_to_bits(mask, width)
                       + '",\n    "paths": [\n' + ",\n".join(filter(None, live)) + "\n    ]\n  }")
 
-            _search(graph, visit, lambda p: "      [\n        "
-                    + ",\n        ".join(map(str, p.vertices)) + "\n      ]")
+            search(graph, visit, lambda p: "      [\n        "
+                   + ",\n        ".join(map(str, p.vertices)) + "\n      ]")
             write("\n]\n")
         else:
-            _search(graph,
-                    lambda mask, live: write(f"{mask_to_bits(mask, width)}  "
-                                             + "".join(filter(None, live)) + "\n"),
-                    lambda p: "[" + "-".join(map(str, p.vertices)) + "]")
+            search(graph,
+                   lambda mask, live: write(f"{mask_to_bits(mask, width)}  "
+                                            + "".join(filter(None, live)) + "\n"),
+                   lambda p: "[" + "-".join(map(str, p.vertices)) + "]")
         out.write("".join(block))
 
 
@@ -243,12 +240,11 @@ def _cmd_tc(args: argparse.Namespace) -> None:
 
 
 def _cmd_census(args: argparse.Namespace) -> None:
-    _load("census_records", "summarize_records", "write_records_csv")
-    records = census_records(args.n, threads=args.threads, unsafe_large=args.unsafe_large)
-    summary = summarize_records(args.n, records)
+    records = _lib.census_records(args.n, threads=args.threads, unsafe_large=args.unsafe_large)
+    summary = _lib.summarize_records(args.n, records)
     if args.format == "csv":
         with _output(args.output) as out:
-            write_records_csv(records, out)
+            _lib.write_records_csv(records, out)
     elif args.format == "json":
         _emit(_dumps(summary.to_json_dict()), args.output)
     else:
@@ -267,9 +263,8 @@ def _cmd_census(args: argparse.Namespace) -> None:
 
 
 def _cmd_framing(args: argparse.Namespace) -> None:
-    _load("find_framing_cord")
     word = parse(" ".join(args.word))
-    cord = find_framing_cord(word)
+    cord = _lib.find_framing_cord(word)
     if cord is None:
         left, right = (render(part) for part in split_composition(word))
         text = f"no framing cord: the word splits as ({left})({right})"
@@ -281,8 +276,7 @@ def _cmd_framing(args: argparse.Namespace) -> None:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> None:
-    _load("build_graph", "to_dot")
-    _emit(to_dot(build_graph(parse(" ".join(args.word)))), args.output)
+    _emit(_lib.to_dot(_lib.build_graph(parse(" ".join(args.word)))), args.output)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -66,16 +66,15 @@ __all__ = [
 CROSS_CHECK_LIMIT = 10
 
 # bench/spans.py wraps these two here by name, and nothing here calls them;
-# each is bound on first access, so analyze loads neither layer (as cli._LAZY)
+# each is resolved from its layer on every access and never bound here, so
+# analyze loads neither layer (as cli._LAZY)
 _SPANNED = {"build_graph": "graphs", "count_hamiltonian_sets": "hamiltonian"}
 
 
 def __getattr__(name: str):
     if name not in _SPANNED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_SPANNED[name]}", __package__)
-    value = globals()[name] = getattr(module, name)
-    return value
+    return getattr(importlib.import_module(f".{_SPANNED[name]}", __package__), name)
 
 
 def _settle(

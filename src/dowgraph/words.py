@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 from itertools import chain, groupby
 
 from .errors import (
@@ -374,17 +373,12 @@ def cord_pattern(cord: Sequence[int]) -> tuple[int, ...]:
 
 
 def tangled_cord(n: int) -> Dow:
-    """The length-2n word 1213243..., the tangled pattern over 1..n.
+    """The length-2n word 1213243..., the cord pattern over 1..n.
 
     >>> [render(tangled_cord(k)) for k in (1, 2, 3, 4)]
     ['11', '1212', '121323', '12132434']
     """
-    return Dow(_tangled_letters(n))
-
-
-@lru_cache(maxsize=32)
-def _tangled_letters(n: int) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(_tangled_pieces(n)))
+    return Dow(chain.from_iterable(_tangled_pieces(n)))
 
 
 _PIECE = 2048
@@ -402,12 +396,13 @@ def _tangled_pieces(n: int) -> Iterator[tuple[int, ...]]:
 
 def _is_tangled(letters: Sequence[int]) -> bool:
     """:func:`is_tangled_cord` on the letters of a word, built or not."""
-    return _first_occurrence_labels(letters) == _tangled_letters(len(letters) // 2)
+    return tuple(letters) == cord_pattern(tuple(dict.fromkeys(letters)))
 
 
 def is_tangled_cord(word: Dow) -> bool:
-    """True when the word is a tangled cord up to renaming (and reversal;
-    the tangled cord reads the same backwards after canonicalizing)."""
+    """True when the word is the cord pattern over its own letters, in the
+    order they open: a tangled cord up to renaming (and reversal; the
+    tangled cord reads the same backwards after canonicalizing)."""
     return _is_tangled(word.letters)
 
 

@@ -383,7 +383,7 @@ def test_tc_writes_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 1 << 20
-    # built here, not through tangled_cord, whose letters stay cached
+    # the whole pattern at once, against tc's pieces
     assert target.read_text() == " ".join(map(str, dg.cord_pattern(range(1, 200001)))) + "\n"
 
 
@@ -566,6 +566,26 @@ def test_framing_internal_check_is_exit_two(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "framing", "1212")
     assert (code, out) == (2, "")
     assert err.splitlines() == ["internal check failed: framing cord went astray"]
+
+
+def test_framing_sees_a_restored_library_function(capsys, monkeypatch):
+    # a function patched in its own module and then restored must not stay
+    # patched in the CLI; an earlier patch of the CLI's own name may have
+    # left the original bound there, which would hide a stale binding
+    from dowgraph import cli, maximality
+
+    monkeypatch.delitem(vars(cli), "find_framing_cord", raising=False)
+    original, calls = maximality.find_framing_cord, []
+
+    def counting(word):
+        calls.append(word)
+        return original(word)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(maximality, "find_framing_cord", counting)
+        assert run_cli(capsys, "framing", "123415264536")[:2] == (0, "1 3 6\n")
+    assert run_cli(capsys, "framing", "123415264536")[:2] == (0, "1 3 6\n")
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------- export-dot

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import copy
 import doctest
+import gc
 import pickle
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import dowgraph as dg
 from dowgraph import words as words_module
+from dowgraph.census import iter_canonical_words
 
 from conftest import dows, renamed_dows
 
@@ -398,11 +402,35 @@ def test_tangled_cord_occurrences_interlock(n):
         assert below < occ[k + 1][0] < occ[k][1]
 
 
+def _tangled_by_canonical_form(word):
+    # the rule as first defined: the canonical form is the cord over 1..n
+    return dg.canonicalize(word).letters == dg.cord_pattern(range(1, word.n + 1))
+
+
 def test_is_tangled_cord_up_to_renaming_and_reversal():
     assert dg.is_tangled_cord(dg.parse("7373"))
     assert dg.is_tangled_cord(dg.reverse_word(dg.tangled_cord(5)))
     assert not dg.is_tangled_cord(dg.parse("1122"))
     assert not dg.is_tangled_cord(dg.parse("123123"))
+    for n in range(1, 7):
+        for word in iter_canonical_words(n):
+            assert dg.is_tangled_cord(word) == _tangled_by_canonical_form(word)
+    for k in range(1, 61):
+        labels = random.Random(k).sample(range(1, 10 * k + 1), k)
+        word = dg.Dow([labels[a - 1] for a in reversed(dg.tangled_cord(k).letters)])
+        assert dg.is_tangled_cord(word) and _tangled_by_canonical_form(word)
+
+
+def test_is_tangled_cord_holds_nothing_after_the_call():
+    # 200,000 letter pairs; a cord kept past the call holds about 15 MiB
+    tracemalloc.start()
+    try:
+        assert dg.is_tangled_cord(dg.tangled_cord(200_000))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 # ---------------------------------------------------------- composition

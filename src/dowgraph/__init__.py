@@ -15,7 +15,8 @@ import importlib
 __version__ = "0.1.0"
 
 # in dependency order, so that a name is found before any module past its own loads
-_MODULES = ("errors", "words", "counting", "graphs", "hamiltonian", "maximality", "census")
+_MODULES = ("errors", "words", "counting", "graphs", "hamiltonian", "oracles", "maximality",
+            "census")
 
 
 def __getattr__(name: str):

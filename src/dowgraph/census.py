@@ -271,11 +271,13 @@ def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list
     per prefix, with at least eight prefixes per worker.  The rows are
     turned into records in prefix order as they arrive, so the output is
     identical whatever the degree of parallelism.  The pool never has more
-    workers than CPUs or tasks.
+    workers than tasks, or than CPUs this process may run on.
     """
     _check_census_size(n, unsafe_large)
-    # more workers than CPUs or tasks would only cost start-up time
-    workers = max(1, min(threads, os.cpu_count() or 1))
+    # more workers than CPUs or tasks would only cost start-up time; the
+    # CPUs are those this process may run on, where the platform says
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(threads, cpus or 1))
     prefixes = _trie_prefixes(n, workers * 8)
     task = partial(_analyze_subtrie, n)
     if workers == 1:

@@ -26,8 +26,8 @@ from .words import _separator, _tangled_pieces, parse, render, split_composition
 # never bound here (see __getattr__), so a patch in its own module is seen
 # here for as long as it lasts, and a command imports only the layers it
 # runs: count and tc load no graph, enumeration, maximality or census code,
-# and analyze and framing load maximality but no graph, enumeration or
-# census code.
+# analyze and framing load maximality but no graph, enumeration or census
+# code, and no command loads the oracles.
 _LAZY = {
     "build_graph": "graphs",
     "to_dot": "graphs",
@@ -36,7 +36,7 @@ _LAZY = {
     "mask_to_bits": "hamiltonian",
     # bench/spans.py wraps these three here by name; no handler calls them
     "count_hamiltonian_sets": "hamiltonian",
-    "edge_mask": "hamiltonian",
+    "edge_mask": "oracles",
     "enumerate_hamiltonian_sets": "hamiltonian",
     "analyze": "maximality",
     "find_framing_cord": "maximality",

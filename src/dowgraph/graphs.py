@@ -12,21 +12,24 @@ straight-through pairs are {e_(i-1), e_i} and {e_(j-1), e_j}; every other
 pair of incident edges meets at a corner and is called a neighbor pair.
 Polygonal paths are the simple paths that turn a corner at every interior
 vertex, i.e. consecutive edges are always neighbors.
+
+This module builds the graph and renders it.  Checking a given path
+against it is left to the test oracles
+:func:`~dowgraph.oracles.are_neighbors` and
+:func:`~dowgraph.oracles.is_polygonal`, which no command loads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import InputError, NotIncidentError
+from .errors import InputError
 from .words import Dow, _Frozen, occurrences, render
 
 __all__ = [
     "AssemblyGraph",
     "PolygonalPath",
     "build_graph",
-    "are_neighbors",
-    "is_polygonal",
     "to_dot",
 ]
 
@@ -87,32 +90,13 @@ def build_graph(word: Dow) -> AssemblyGraph:
     return AssemblyGraph(word, straight, edge_slots, verts)
 
 
-def are_neighbors(graph: AssemblyGraph, v: int, a: int, b: int) -> bool:
-    """Do edges a and b meet at a corner of vertex v?
-
-    False exactly when {a, b} is one of the two straight-through pairs at v.
-    Both edges must be incident to v; virtual indices 0 and 2n are legal
-    arguments since they participate in straight-through pairs.
-    """
-    if v not in graph.straight_through:
-        raise NotIncidentError(f"{v} is not a vertex of this graph")
-    if a == b:
-        raise InputError("edges must be distinct")
-    p, q = graph.straight_through[v]
-    here = p | q
-    if a not in here:
-        raise NotIncidentError(f"edge e_{a} is not incident to vertex {v}")
-    if b not in here:
-        raise NotIncidentError(f"edge e_{b} is not incident to vertex {v}")
-    return frozenset((a, b)) not in graph.straight_through[v]
-
-
 class PolygonalPath(_Frozen):
     """A candidate path: vertices v_0..v_k and the edge chosen at each step.
 
     Stored direction-normalized so that a path and its reversal compare and
     hash equal.  Shape constraints (edge count, non-emptiness) are enforced
-    here; graph-relative validity is the job of :func:`is_polygonal`.
+    here; graph-relative validity is the job of
+    :func:`~dowgraph.oracles.is_polygonal`.
     """
 
     __slots__ = ("vertices", "edges")
@@ -126,29 +110,6 @@ class PolygonalPath(_Frozen):
         if len(edges) != len(vertices) - 1:
             raise InputError("a path on k+1 vertices needs exactly k edges")
         self.__setstate__(min((vertices, edges), (vertices[::-1], edges[::-1])))
-
-
-def is_polygonal(graph: AssemblyGraph, path: PolygonalPath) -> bool:
-    """Check a path against the graph: distinct vertices, real incident
-    edges, and a corner turn at every interior vertex.
-
-    Singletons are polygonal.  Anything revisiting a vertex is not, which
-    also rules out loops and closed walks.
-    """
-    vs, es = path.vertices, path.edges
-    if any(v not in graph.straight_through for v in vs):
-        return False
-    if len(set(vs)) != len(vs):
-        return False
-    for t, e in enumerate(es):
-        if not 1 <= e <= graph.num_real_edges:
-            return False
-        if set(graph.edge_ends(e)) != {vs[t], vs[t + 1]}:
-            return False
-    for t in range(len(es) - 1):
-        if not are_neighbors(graph, vs[t + 1], es[t], es[t + 1]):
-            return False
-    return True
 
 
 def to_dot(graph: AssemblyGraph) -> str:

@@ -22,12 +22,10 @@ takes edges and refuses every loop and cycle, so it visits only the
 Hamiltonian sets, in ascending fingerprint order.  It builds each set's
 fingerprint as it goes and hands it, with the set's live paths, to a
 visitor callback, so a consumer can write each set as it is reached and
-hold no list.  The mask scan, which runs :func:`hamiltonian_set_from_mask`
-over the Fibonacci-many masks of :func:`nonconsecutive_masks`, is the
-decoder of a single fingerprint and, with the brute-force path search, the
-oracle both engines are tested against.  The same masks serve one more
-oracle, :func:`paired_endpoints_witness`, the graph-side twin of the parity
-verdict of :mod:`dowgraph.maximality`, which it is tested against.
+hold no list.  The oracles both engines are tested against, the mask scan
+over the Fibonacci-many masks of :func:`nonconsecutive_masks` and the
+brute-force path search, live in :mod:`dowgraph.oracles` with the
+fingerprint's validators; no command loads them.
 """
 
 from __future__ import annotations
@@ -36,35 +34,24 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from .counting import count_words
-from .errors import (
-    ConsecutiveEdgesError,
-    InputError,
-    InvalidHamiltonianSetError,
-    TooLargeError,
-)
-from .graphs import AssemblyGraph, PolygonalPath, are_neighbors, is_polygonal
+from .errors import InputError, TooLargeError
+from .graphs import AssemblyGraph, PolygonalPath
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
     "ENUMERATE_LIMIT",
     "nonconsecutive_masks",
-    "paired_endpoints_witness",
-    "alternating_mask",
     "mask_to_bits",
-    "edge_mask",
-    "hamiltonian_set_from_mask",
-    "is_hamiltonian_set",
     "count_hamiltonian_sets",
     "enumerate_hamiltonian_sets",
-    "brute_force_hamiltonian_sets",
     "format_hamiltonian_set",
 ]
 
-BRUTE_FORCE_LIMIT = 8
 # keeps the enumeration's 2n - 1 nested calls well inside Python's recursion limit
 ENUMERATE_LIMIT = 200
 
 
+# only the oracles call it; it stays here, cache and all, because
+# bench/spans.py wraps it here by name and clears its cache
 @lru_cache(maxsize=32)
 def nonconsecutive_masks(num_bits: int) -> tuple[int, ...]:
     """All masks on ``num_bits`` bits with no two adjacent ones, ascending.
@@ -83,42 +70,6 @@ def nonconsecutive_masks(num_bits: int) -> tuple[int, ...]:
     return tuple(newer)
 
 
-def paired_endpoints_witness(graph: AssemblyGraph) -> int | None:
-    """Graph-side twin of :func:`~dowgraph.maximality.even_split_witness`;
-    a test oracle.
-
-    Looks for up to n-1 pairwise non-consecutive transversal edges whose
-    endpoint list mentions no vertex exactly once; such a selection can
-    never be a union of vertex-disjoint polygonal paths.  Returns the first
-    witness in ascending mask order, or None.  It scans all F(2n+1) masks
-    without adjacent ones, so it serves only to cross-check the parity
-    verdict on small words.
-    """
-    n = graph.n
-    for mask in nonconsecutive_masks(graph.num_real_edges):
-        k = mask.bit_count()
-        if not 1 <= k <= n - 1:
-            continue
-        counts: dict[int, int] = {}
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            u, v = graph.edge_ends(low.bit_length())
-            counts[u] = counts.get(u, 0) + 1
-            counts[v] = counts.get(v, 0) + 1
-        if all(c != 1 for c in counts.values()):
-            return mask
-    return None
-
-
-def alternating_mask(n: int) -> int:
-    """The mask selecting e_1, e_3, ..., e_(2n-1); the one value the
-    fingerprint map can never take, since those n edges chain every vertex
-    into closed runs."""
-    return sum(1 << k for k in range(0, 2 * n - 1, 2))
-
-
 def mask_to_bits(mask: int, num_edges: int) -> str:
     """Render a mask as a 0/1 string, edge e_1 leftmost.
 
@@ -129,82 +80,6 @@ def mask_to_bits(mask: int, num_edges: int) -> str:
         raise InputError("num_edges must be non-negative")
     # bin() of the low bits under a guard bit, reversed without '0b1'
     return bin(mask & ((1 << num_edges) - 1) | 1 << num_edges)[:2:-1]
-
-
-def is_hamiltonian_set(graph: AssemblyGraph, candidate: frozenset[PolygonalPath]) -> bool:
-    """Polygonal paths, pairwise vertex-disjoint, covering every vertex."""
-    seen: set[int] = set()
-    for path in candidate:
-        if not is_polygonal(graph, path):
-            return False
-        for v in path.vertices:
-            if v in seen:
-                return False
-            seen.add(v)
-    return seen == set(graph.vertices)
-
-
-def edge_mask(graph: AssemblyGraph, hamset: frozenset[PolygonalPath]) -> int:
-    """Fingerprint a Hamiltonian set as its used-edge bitmask."""
-    if not is_hamiltonian_set(graph, hamset):
-        raise InvalidHamiltonianSetError("not a Hamiltonian set of this graph")
-    mask = 0
-    for path in hamset:
-        for e in path.edges:
-            mask |= 1 << (e - 1)
-    return mask
-
-
-def hamiltonian_set_from_mask(graph: AssemblyGraph, mask: int) -> frozenset[PolygonalPath] | None:
-    """Decode a mask back into its Hamiltonian set, or None.
-
-    None means the selected edges do not induce vertex-disjoint paths.  A
-    mask with two adjacent bits is rejected outright because two consecutive
-    edges can only continue straight through their shared vertex.  Without
-    them no vertex has degree three, so the edges form paths and cycles
-    only: a loop is refused as it is read, the paths are walked from their
-    ends in vertex order, a singleton being a walk with no edge, and a
-    vertex that no walk reached lies on a cycle.
-    """
-    if mask & (mask << 1):
-        raise ConsecutiveEdgesError("mask selects two consecutively indexed edges")
-    if mask >> graph.num_real_edges:
-        raise ConsecutiveEdgesError(
-            f"mask has bits beyond edge e_{graph.num_real_edges}"
-        )
-
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        e = low.bit_length()
-        u, v = graph.edge_ends(e)
-        if u == v:
-            return None
-        adjacency[u].append((e, v))
-        adjacency[v].append((e, u))
-
-    paths: list[PolygonalPath] = []
-    visited: set[int] = set()
-    for start in graph.vertices:
-        if start in visited or len(adjacency[start]) > 1:
-            continue
-        vs = [start]
-        es: list[int] = []
-        visited.add(start)
-        while True:
-            nxt = [(e, o) for e, o in adjacency[vs[-1]] if not es or e != es[-1]]
-            if not nxt:
-                break
-            e, other = nxt[0]
-            es.append(e)
-            vs.append(other)
-            visited.add(other)
-        paths.append(PolygonalPath(vs, es))
-    if len(visited) != len(graph.vertices):
-        return None
-    return frozenset(paths)
 
 
 def count_hamiltonian_sets(graph: AssemblyGraph) -> int:
@@ -225,6 +100,7 @@ def enumerate_hamiltonian_sets(graph: AssemblyGraph) -> list[frozenset[Polygonal
     more than :data:`ENUMERATE_LIMIT` letters raise :class:`TooLargeError`.
 
     >>> from dowgraph import build_graph, parse
+    >>> from dowgraph.oracles import edge_mask
     >>> g = build_graph(parse("1212"))
     >>> [mask_to_bits(edge_mask(g, hs), 3) for hs in enumerate_hamiltonian_sets(g)]
     ['000', '100', '010', '001']
@@ -300,72 +176,6 @@ def _search(
         paths[ka], paths[kb], live[ka], live[kb] = pa, pb, la, lb
 
     decide(graph.num_real_edges, False, 0)
-
-
-def _all_polygonal_paths(graph: AssemblyGraph) -> list[PolygonalPath]:
-    """Every polygonal path with at least one edge, by exhaustive extension."""
-    found: set[PolygonalPath] = set()
-
-    def extend(vs: list[int], es: list[int]) -> None:
-        u = vs[-1]
-        for e in graph.real_edges_at(u):
-            x, y = graph.edge_ends(e)
-            other = y if x == u else x
-            if other in vs:
-                continue
-            if es and not are_neighbors(graph, u, es[-1], e):
-                continue
-            vs.append(other)
-            es.append(e)
-            candidate = PolygonalPath(vs, es)
-            if is_polygonal(graph, candidate):
-                found.add(candidate)
-            extend(vs, es)
-            vs.pop()
-            es.pop()
-
-    for v in graph.vertices:
-        extend([v], [])
-    return sorted(found, key=lambda p: (p.vertices, p.edges))
-
-
-def brute_force_hamiltonian_sets(graph: AssemblyGraph) -> list[frozenset[PolygonalPath]]:
-    """Independent reference enumeration, no fingerprints involved.
-
-    Builds every polygonal path by vertex-by-vertex extension, then covers
-    the vertex set exactly.  Exponential and proud of it; refuses graphs
-    beyond n = 8 so nobody leans on it by accident.
-    """
-    if graph.n > BRUTE_FORCE_LIMIT:
-        raise TooLargeError(
-            f"brute force reference enumeration is capped at n = {BRUTE_FORCE_LIMIT}"
-        )
-    paths = _all_polygonal_paths(graph)
-    by_vertex: dict[int, list[PolygonalPath]] = {v: [] for v in graph.vertices}
-    for p in paths:
-        for v in p.vertices:
-            by_vertex[v].append(p)
-
-    out: list[frozenset[PolygonalPath]] = []
-    chosen: list[PolygonalPath] = []
-
-    def cover(uncovered: frozenset[int]) -> None:
-        if not uncovered:
-            out.append(frozenset(chosen))
-            return
-        v = min(uncovered)
-        chosen.append(PolygonalPath((v,), ()))
-        cover(uncovered - {v})
-        chosen.pop()
-        for p in by_vertex[v]:
-            pv = frozenset(p.vertices)
-            if pv <= uncovered:
-                chosen.append(p)
-                cover(uncovered - pv)
-                chosen.pop()
-
-    cover(frozenset(graph.vertices))
-    return out
 
 
 def format_hamiltonian_set(hamset: frozenset[PolygonalPath]) -> str:

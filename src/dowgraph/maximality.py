@@ -6,11 +6,12 @@ non-empty letter subset leaves only even-length pieces behind when deleted.
 This module implements that parity test and the constructive machinery
 around non-maximal words: greedy extraction of a framing cord, the recursive
 even-split construction that the cord supports, and the minimal even split,
-whose projection is always a tangled cord.  Its graph-side twin, the oracle
-:func:`~dowgraph.hamiltonian.paired_endpoints_witness`, lives with the mask
-scan it runs on.  The count that :func:`analyze` checks the verdict against
-comes from the counting programme, which reads the word's letters, so this
-module loads neither the graph layer nor the enumeration.
+whose projection is always a tangled cord.  Its graph-side twin, the
+endpoint-pairing test :func:`~dowgraph.oracles.paired_endpoints_witness`,
+is a test oracle and lives with the others in :mod:`dowgraph.oracles`.
+The count that :func:`analyze` checks the verdict against comes from the
+counting programme, which reads the word's letters, so this module loads
+neither the graph layer nor the enumeration.
 
 The parity test rests on one fact.  Deleted positions p_1 < p_2 < ...
 (1-based) leave only even pieces exactly when p_j = j (mod 2) for every j

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 import dowgraph as dg
-from dowgraph.hamiltonian import alternating_mask
+from dowgraph.oracles import alternating_mask
 
 
 def test_01_tangled_cord_counts():

@@ -235,6 +235,8 @@ def test_pool_size_is_bounded(monkeypatch, cpus, threads, expected):
     monkeypatch.setattr(_SerialPool, "tasks", [])
     # census_records imports multiprocessing when it needs a pool
     monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    # as on a platform that has no CPU affinity, where cpu_count is the count
+    monkeypatch.delattr(dg.census.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(dg.census.os, "cpu_count", lambda: cpus)
     assert census_records(3, threads=threads) == serial
     if expected is None:
@@ -246,6 +248,17 @@ def test_pool_size_is_bounded(monkeypatch, cpus, threads, expected):
         assert tasks == 15
         expected = tasks
     assert _SerialPool.sizes == [expected]
+
+
+def test_pool_size_is_bounded_by_the_cpus_this_process_may_use(monkeypatch):
+    # one usable CPU, whatever the host has: no pool is started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    serial = census_records(4)
+    monkeypatch.setattr(dg.census.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert census_records(4, threads=2) == serial
 
 
 # --------------------------------------------------------------- summary

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import dowgraph as dg
 from dowgraph.counting import _START, _read
-from dowgraph.hamiltonian import alternating_mask, mask_to_bits, nonconsecutive_masks
+from dowgraph.hamiltonian import mask_to_bits, nonconsecutive_masks
+from dowgraph.oracles import alternating_mask
 
 from conftest import dows, renamed_dows
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dowgraph as dg
-from dowgraph.hamiltonian import nonconsecutive_masks, paired_endpoints_witness
+from dowgraph.hamiltonian import nonconsecutive_masks
+from dowgraph.oracles import paired_endpoints_witness
 
 from conftest import dows, renamed_dows
 

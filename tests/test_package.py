@@ -16,7 +16,7 @@ import dowgraph as dg
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 MODULES = (dg.census, dg.counting, dg.errors, dg.graphs, dg.hamiltonian, dg.maximality,
-           dg.words)
+           dg.oracles, dg.words)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -28,10 +28,13 @@ print("--")
 print(*sys.modules, sep="\\n")
 """
 
+# no command loads the test oracles
+ORACLES = ("dowgraph.oracles",)
+
 # what count and tc need: no graph, enumeration, maximality or census code,
 # and none of the standard modules only those layers use
-LEAN = ("dowgraph.census", "dowgraph.maximality", "dowgraph.graphs", "dowgraph.hamiltonian",
-        "dataclasses", "csv", "multiprocessing")
+LEAN = ORACLES + ("dowgraph.census", "dowgraph.maximality", "dowgraph.graphs",
+                  "dowgraph.hamiltonian", "dataclasses", "csv", "multiprocessing")
 
 
 def _env() -> dict[str, str]:
@@ -53,7 +56,8 @@ def _loaded(code: str, *args: str) -> tuple[list[str], set[str]]:
 
 # what analyze and framing need beyond that: maximality, and no graph or
 # enumeration code
-VERDICT = ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "dowgraph.census", "csv")
+VERDICT = ORACLES + ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "dowgraph.census",
+                     "csv")
 
 
 @pytest.mark.parametrize(
@@ -63,12 +67,13 @@ VERDICT = ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "dowgraph.c
         (["count 1212", "count 1212 --format json", "tc 3"], ["4", "4", "121323"],
          LEAN + ("json",)),
         (["enumerate 1212"], ["000  [1][2]", "100  [1-2]", "010  [1-2]", "001  [1-2]"],
-         ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
-        (["export-dot 1212"], None, ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
+         ORACLES + ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
+        (["export-dot 1212"], None,
+         ORACLES + ("dowgraph.census", "dowgraph.maximality", "dataclasses")),
         (["analyze 11"], None, VERDICT),
         (["framing 1212"], ["1 2"], VERDICT),
-        (["census 3 --format csv"], None, ("dowgraph.graphs", "dowgraph.hamiltonian",
-                                           "dataclasses", "csv")),
+        (["census 3 --format csv"], None,
+         ORACLES + ("dowgraph.graphs", "dowgraph.hamiltonian", "dataclasses", "csv")),
     ],
     ids=["count-and-tc-text", "count-and-tc-json", "enumerate", "export-dot", "analyze",
          "framing", "census"],
@@ -109,3 +114,12 @@ def test_no_module_imports_dataclasses():
     for path in sorted((SRC / "dowgraph").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", text, re.M), path.name
+
+
+def test_no_engine_module_imports_the_oracles():
+    # only the tests and the oracles module itself reach the oracles
+    for path in sorted((SRC / "dowgraph").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found = re.search(r"^\s*(from|import)\s+(\.|dowgraph\.)oracles\b"
+                          r"|^\s*from\s+(\.|dowgraph)\s+import\s.*\boracles\b", text, re.M)
+        assert path.name == "oracles.py" or not found, path.name

@@ -52,7 +52,7 @@ from typing import TextIO
 from .errors import InputError, InternalCheckError, TooLargeError
 from .counting import count_words, fibonacci
 from .maximality import _verdicts
-from .words import Dow, _Frozen, render, tangled_cord
+from .words import Dow, _Frozen, _occurrences, render, tangled_cord
 # bench/spans.py wraps both here by name; they stay importable
 from .maximality import analyze  # noqa: F401
 from .words import class_representative  # noqa: F401
@@ -183,7 +183,7 @@ def _walk_trie(
     the open letters plus twice the unopened ones fill the positions left."""
     word = list(prefix) + [0] * (depth - len(prefix))
     # the letters seen once so far, ascending
-    once = sorted(a for a in set(prefix) if prefix.count(a) == 1)
+    once = sorted(set(prefix).difference(_occurrences(prefix)))
 
     def rec(pos: int, opened: int) -> None:
         if pos == depth:

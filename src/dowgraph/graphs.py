@@ -82,7 +82,7 @@ def build_graph(word: Dow) -> AssemblyGraph:
     straight = {
         v: (frozenset((i - 1, i)), frozenset((j - 1, j))) for v, (i, j) in occ.items()
     }
-    verts = tuple(sorted(word.alphabet))
+    verts = tuple(sorted(occ))
     slot = {v: k for k, v in enumerate(verts)}
     edge_slots = tuple(
         (slot[word.letters[i - 1]], slot[word.letters[i]]) for i in range(1, two_n)

@@ -197,25 +197,29 @@ def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
     straddle the current right end, the one reaching furthest.  The greedy
     run gets stuck before the end of the word exactly when some proper
     prefix is a complete word of its own.
+
+    One left-to-right sweep finds it in O(n): the letter opened so far that
+    closes last is, at the current right end, the straddling letter that
+    reaches furthest, and the run is stuck when it closes right there.
     """
     return _framing_cord(word, occurrences(word))
 
 
 def _framing_cord(word: Dow, occ: dict[int, tuple[int, int]]) -> tuple[int, ...] | None:
     # find_framing_cord on a word and its occurrences
-    total = len(word.letters)
-    first = word.letters[0]
-    cord = [first]
-    end = occ[first][1]
-    while end < total:
-        best = None
-        for a, (o1, o2) in occ.items():
-            if o1 < end < o2 and (best is None or o2 > occ[best][1]):
-                best = a
-        if best is None:
-            return None
-        cord.append(best)
-        end = occ[best][1]
+    # best: the letter opened so far that closes last, at position reach
+    best = word.letters[0]
+    cord = [best]
+    end = reach = occ[best][1]
+    # the last position closes the word, and the cord with it
+    for pos, a in enumerate(word.letters[:-1], start=1):
+        if occ[a][1] > reach:
+            best, reach = a, occ[a][1]
+        if pos == end:
+            if reach == end:
+                return None
+            cord.append(best)
+            end = reach
     result = tuple(cord)
     if not is_framing_cord(word, result):
         raise InternalCheckError(
@@ -308,7 +312,7 @@ def _verdicts(
                 f"minimal split {sorted(sigma)} of {render(word)} projects to "
                 f"{render(Dow(split[1]))}, which is not a tangled cord"
             )
-    is_composition = _composition_cut(word.letters) is not None
+    is_composition = _composition_cut(pairs) is not None
     cord = _framing_cord(word, pairs)
     if (cord is None) != is_composition:
         raise InternalCheckError(

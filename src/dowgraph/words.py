@@ -17,7 +17,6 @@ representatives.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, groupby
 
@@ -211,11 +210,12 @@ class SubwordSplit(_Frozen):
         return all(len(s.letters) % 2 == 0 for s in self.segments)
 
 
-_COMPACT_RE = re.compile(r"^[0-9]+$")
-
-
 def parse(text: str) -> Dow:
     """Parse a word from compact or token text form.
+
+    Text of ASCII digits alone is the compact form, one letter per digit.
+    Anything else is split into tokens at commas and whitespace, and each
+    token must be a positive number in ASCII digits.
 
     >>> parse("1212").letters
     (1, 2, 1, 2)
@@ -225,15 +225,13 @@ def parse(text: str) -> Dow:
     stripped = text.strip()
     if not stripped:
         raise EmptyWordError("empty word")
-    if _COMPACT_RE.match(stripped):
+    # str.isdigit alone admits digits such as "²" that int() refuses
+    if stripped.isascii() and stripped.isdigit():
         if "0" in stripped:
             raise BadTokenError("digit 0 is not a letter; compact form covers letters 1..9")
         return Dow(int(c) for c in stripped)
     letters = []
-    for token in re.split(r"[,\s]+", stripped):
-        if not token:
-            continue
-        # str.isdigit alone admits digits such as "²" that int() refuses
+    for token in stripped.replace(",", " ").split():
         if not (token.isascii() and token.isdigit()) or int(token) < 1:
             raise BadTokenError(f"bad letter token {token!r}")
         letters.append(int(token))
@@ -406,18 +404,16 @@ def is_tangled_cord(word: Dow) -> bool:
     return _is_tangled(word.letters)
 
 
-def _composition_cut(letters: Sequence[int]) -> int | None:
-    """The length of the shortest proper prefix that is a complete word.
+def _composition_cut(pairs: dict[int, tuple[int, int]]) -> int | None:
+    """The length of the shortest proper prefix that is a complete word,
+    read off the word's :func:`occurrences`.
 
-    Every letter occurs twice, so a prefix is complete exactly when it is
-    twice as long as its alphabet.
+    They come in closing order, so the prefix that ends at the k-th closing
+    position holds k closed letters, and it is complete exactly when that
+    position is 2k.  The whole word always is.
     """
-    seen: set[int] = set()
-    for pos, a in enumerate(letters[:-1], start=1):
-        seen.add(a)
-        if 2 * len(seen) == pos:
-            return pos
-    return None
+    cut = next(2 * k for k, (_, close) in enumerate(pairs.values(), start=1) if close == 2 * k)
+    return cut if cut < 2 * len(pairs) else None
 
 
 def split_composition(word: Dow) -> tuple[Dow, Dow] | None:
@@ -432,7 +428,7 @@ def split_composition(word: Dow) -> tuple[Dow, Dow] | None:
     >>> split_composition(parse("1212")) is None
     True
     """
-    cut = _composition_cut(word.letters)
+    cut = _composition_cut(occurrences(word))
     if cut is None:
         return None
     return Dow(word.letters[:cut]), Dow(word.letters[cut:])

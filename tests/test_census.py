@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import multiprocessing
 
@@ -177,7 +178,7 @@ def test_records_agree_with_analyze(census_by_n):
     # every letter as the witness: only tc(4) projects to a tangled cord
     ("_even_split", lambda pairs: frozenset(pairs), "not a tangled cord"),
     # no composition anywhere, though 11223344 has no framing cord
-    ("_composition_cut", lambda letters: None, "disagree"),
+    ("_composition_cut", lambda pairs: None, "disagree"),
     ("is_framing_cord", lambda word, cord: False, "fails the framing check"),
 ], ids=["witness", "composition", "framing"])
 def test_census_checks_still_fire(monkeypatch, helper, fault, message):
@@ -389,6 +390,16 @@ def test_census_seven_reverifies_the_paper():
     assert summary.equivalence_failures == 0
     assert all(r.count is not None for r in records)
     assert summary.maximal_classes == (dg.tangled_cord(7),)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("threads", [1, 2])
+def test_census_seven_csv_is_pinned(threads):
+    # the bytes dowgraph census 7 --format csv writes
+    buffer = io.StringIO()
+    write_records_csv(census_records(7, threads=threads), buffer)
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == "c05162d9e277e5651a99a92b1792a493912ae3563880792ad8229c5426dc2f49"
 
 
 @pytest.mark.slow

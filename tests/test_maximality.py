@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dowgraph as dg
+from dowgraph.census import iter_canonical_words
 from dowgraph.hamiltonian import nonconsecutive_masks
 from dowgraph.oracles import paired_endpoints_witness
 
@@ -275,6 +277,51 @@ def test_greedy_cord_on_worked_example():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_greedy_cord_of_tangled_cord_is_everything(n):
     assert dg.find_framing_cord(dg.tangled_cord(n)) == tuple(range(1, n + 1))
+
+
+def _rescanning_framing_cord(word):
+    """The greedy cord found by rescanning every letter at each step for the
+    straddling one that reaches furthest: the oracle for the one-sweep
+    :func:`find_framing_cord`."""
+    occ = dg.occurrences(word)
+    first = word.letters[0]
+    cord = [first]
+    end = occ[first][1]
+    while end < len(word):
+        best = None
+        for a, (o1, o2) in occ.items():
+            if o1 < end < o2 and (best is None or o2 > occ[best][1]):
+                best = a
+        if best is None:
+            return None
+        cord.append(best)
+        end = occ[best][1]
+    return tuple(cord)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_greedy_cord_matches_the_rescanning_greedy_on_every_word(n):
+    for word in iter_canonical_words(n):
+        assert dg.find_framing_cord(word) == _rescanning_framing_cord(word), word
+
+
+def test_greedy_cord_matches_the_rescanning_greedy_on_tangled_cords():
+    rng = random.Random(7)
+    for n in range(1, 61):
+        word = dg.tangled_cord(n)
+        labels = rng.sample(range(1, 10 * n + 1), n)
+        renamed = dg.Dow(labels[a - 1] for a in word.letters)
+        for w in (word, dg.reverse_word(word), renamed, dg.reverse_word(renamed)):
+            assert dg.find_framing_cord(w) == _rescanning_framing_cord(w), w
+
+
+def test_greedy_cord_matches_the_rescanning_greedy_on_shuffled_words():
+    rng = random.Random(11)
+    for _ in range(500):
+        letters = [a for a in range(1, rng.randint(1, 30) + 1) for _ in (0, 1)]
+        rng.shuffle(letters)
+        word = dg.Dow(letters)
+        assert dg.find_framing_cord(word) == _rescanning_framing_cord(word), word
 
 
 def test_compositions_have_no_cord():

@@ -109,11 +109,21 @@ def test_analyze_loads_the_verdict_and_the_counting_programme_only():
     ]
 
 
+def _importing(module: str) -> list[str]:
+    """The dowgraph modules with a line that imports ``module``."""
+    pattern = re.compile(rf"^\s*(from|import)\s+{module}\b", re.M)
+    return [path.name for path in sorted((SRC / "dowgraph").glob("*.py"))
+            if pattern.search(path.read_text(encoding="utf-8"))]
+
+
 def test_no_module_imports_dataclasses():
     # it imports inspect, ast and dis, which no command needs
-    for path in sorted((SRC / "dowgraph").glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", text, re.M), path.name
+    assert _importing("dataclasses") == []
+
+
+def test_no_module_imports_re():
+    # parse tests and splits its text with str methods
+    assert _importing("re") == []
 
 
 def test_no_engine_module_imports_the_oracles():

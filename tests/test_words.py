@@ -8,6 +8,8 @@ import doctest
 import gc
 import pickle
 import random
+import re
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -60,6 +62,52 @@ def test_parse_rejects_garbage_token():
 def test_parse_rejects_non_ascii_digits(text):
     with pytest.raises(dg.BadTokenError):
         dg.parse(text)
+
+
+def _parse_with_regexes(text):
+    """The parser as written with two regular expressions, one to test for
+    the compact form and one to split tokens: the oracle for :func:`parse`."""
+    stripped = text.strip()
+    if not stripped:
+        raise dg.EmptyWordError("empty word")
+    if re.match(r"^[0-9]+$", stripped):
+        if "0" in stripped:
+            raise dg.BadTokenError("digit 0 is not a letter; compact form covers letters 1..9")
+        return dg.Dow(int(c) for c in stripped)
+    letters = []
+    for token in re.split(r"[,\s]+", stripped):
+        if not token:
+            continue
+        if not (token.isascii() and token.isdigit()) or int(token) < 1:
+            raise dg.BadTokenError(f"bad letter token {token!r}")
+        letters.append(int(token))
+    return dg.Dow(letters)
+
+
+def _parse_outcome(parser, text):
+    """The letters, or the type and message of what the parser raised."""
+    try:
+        return parser(text).letters
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# every code point Python counts as whitespace, \x1c, \x85 and \u3000 among them
+_SPACES = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+@given(st.text(alphabet="0123456789,\u00b2\u0663\u200b" + _SPACES, max_size=16))
+@settings(max_examples=400)
+def test_parse_matches_the_two_regex_parser(text):
+    assert _parse_outcome(dg.parse, text) == _parse_outcome(_parse_with_regexes, text)
+
+
+def test_parse_splits_at_every_separator_as_the_two_regex_parser():
+    # the last whitespace code point is U+3000, so this covers every one
+    assert max(_SPACES) == "\u3000"
+    for c in map(chr, range(0x3001)):
+        text = f"{c}1{c}2{c}{c}1,{c}2{c}"
+        assert _parse_outcome(dg.parse, text) == _parse_outcome(_parse_with_regexes, text), hex(ord(c))
 
 
 def test_parse_rejects_single_occurrence():
@@ -446,6 +494,19 @@ def test_split_composition_examples():
 def test_split_composition_picks_shortest_prefix():
     left, right = dg.split_composition(dg.parse("112233"))
     assert (dg.render(left), dg.render(right)) == ("11", "2233")
+
+
+def _shortest_complete_prefix(letters):
+    """The length of the shortest proper prefix whose length is twice its
+    alphabet: the positional oracle for the composition cut."""
+    return next((k for k in range(1, len(letters)) if k == 2 * len(set(letters[:k]))), None)
+
+
+def test_composition_cut_matches_the_positional_oracle():
+    for n in range(1, 7):
+        for word in iter_canonical_words(n):
+            cut = words_module._composition_cut(dg.occurrences(word))
+            assert cut == _shortest_complete_prefix(word.letters), word
 
 
 @pytest.mark.parametrize("n", range(1, 9))

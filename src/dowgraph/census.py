@@ -8,8 +8,10 @@ the closes in ascending order and the opening last walks the leaves in
 lexicographic order, so the classes come out sorted with no sort.  There
 are (2n-1)!! leaves, one per perfect matching of the 2n positions; a leaf
 is kept only when it reads no later than the canonical form of its
-reversal, which drops the reversal duplicates, and a validated
-:class:`~dowgraph.words.Dow` is built only for the leaves kept.
+reversal, which drops the reversal duplicates.  The trie builds every leaf
+valid, canonical and with each letter twice, so a kept leaf becomes a
+:class:`~dowgraph.words.Dow` without validating it again; the tests check
+the trie's words against the validating :func:`iter_canonical_words`.
 
 The census then analyzes every class and checks the headline facts on the
 way out: nobody exceeds the Fibonacci bound, the parity verdict matches the
@@ -49,7 +51,7 @@ from functools import partial
 from math import prod
 from typing import TextIO
 
-from .errors import InputError, InternalCheckError, TooLargeError
+from .errors import InternalCheckError, TooLargeError, _require_int
 from .counting import count_words, fibonacci
 from .maximality import _verdicts
 from .words import Dow, _Frozen, _occurrences, render, tangled_cord
@@ -122,8 +124,7 @@ def iter_canonical_words(n: int) -> Iterator[Dow]:
     tested against; the census does not use it.  It pairs the first free
     position with every later one, so the words come out unsorted.
     """
-    if n < 1:
-        raise InputError("n must be at least 1")
+    _require_int("n", n, 1)
     two_n = 2 * n
     word = [0] * two_n
 
@@ -146,8 +147,7 @@ def iter_canonical_words(n: int) -> Iterator[Dow]:
 
 
 def _check_census_size(n: int, unsafe_large: bool) -> None:
-    if n < 1:
-        raise InputError("n must be at least 1")
+    _require_int("n", n, 1)
     if n > CENSUS_LIMIT and not unsafe_large:
         raise TooLargeError(
             f"a census at n = {n} would enumerate {prod(range(2 * n - 1, 0, -2)):,} "
@@ -208,7 +208,8 @@ def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
 
     ``prefix`` must be a prefix of a canonical word with n letters.  The
     walk down the trie below it meets the canonical words in lexicographic
-    order, so the representatives come back sorted.
+    order, so the representatives come back sorted.  Each leaf is built
+    valid, so it becomes a :class:`Dow` as it stands, without validation.
 
     >>> [render(w) for w in _trie_classes(3, (1, 2, 1))]
     ['121323', '121332']
@@ -219,7 +220,7 @@ def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
 
     def keep(word: list[int]) -> None:
         if _is_representative(word):
-            classes.append(Dow(word))
+            classes.append(Dow._restore((tuple(word),)))
 
     _walk_trie(n, prefix, 2 * n, keep)
     return classes
@@ -273,6 +274,7 @@ def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list
     identical whatever the degree of parallelism.  The pool never has more
     workers than tasks, or than CPUs this process may run on.
     """
+    _require_int("threads", threads, 1)
     _check_census_size(n, unsafe_large)
     # more workers than CPUs or tasks would only cost start-up time; the
     # CPUs are those this process may run on, where the platform says
@@ -293,7 +295,7 @@ def _records(n: int, parts: Iterable[list[tuple]]) -> list[CensusRecord]:
     """The records of the tasks' rows, taken in order and one task at a
     time, so that only one task's rows are held beside the records."""
     bound = fibonacci(2 * n + 1) - 1
-    # the task validated the letters when it built their Dow; positional
+    # the trie built the letters valid (see _trie_classes); positional
     # arguments, since the keyword path costs about three times as much
     return [
         CensusRecord(Dow._restore((letters,)), count, bound, is_maximal, is_composition, has_cord)

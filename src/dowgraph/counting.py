@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .errors import InputError
+from .errors import _require_int
 from .words import Dow
 
 __all__ = ["fibonacci", "count_words"]
@@ -31,8 +31,7 @@ def fibonacci(k: int) -> int:
     >>> [fibonacci(k) for k in range(8)]
     [0, 1, 1, 2, 3, 5, 8, 13]
     """
-    if k < 0:
-        raise InputError("k must be non-negative")
+    _require_int("k", k, 0)
     a, b = 0, 1
     for _ in range(k):
         a, b = b, a + b
@@ -54,6 +53,10 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     letters are open at once, not by F_(2n+1); the bound F_(2n+1) - 1 is
     never reached because the alternating mask always closes a cycle.
 
+    The last letter always closes its letter, so the programme reads every
+    letter but the last and then reads the count off the last edge's
+    decision, with no final state (see :func:`_total`).
+
     A state depends only on the prefix read, so the words share the states
     of common prefixes: the programme stacks the state after each position
     that the next word shares, pops back to it, and reads only the rest.
@@ -70,11 +73,11 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     for i, w in enumerate(letters):
         share = _common_prefix(w, letters[i + 1]) if i + 1 < len(letters) else 0
         state = stack[-1] if stack else _START
-        for k in range(len(stack), len(w)):
+        for k in range(len(stack), len(w) - 1):
             state = _read(state, w[k])
             if k < share:
                 stack.append(state)
-        counts.append(sum(free + taken for free, taken in state[0].values()))
+        counts.append(_total(state, w[-1]))
         del stack[share:]
     return counts
 
@@ -84,6 +87,26 @@ def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
         if a != b:
             return k
     return min(len(u), len(v))
+
+
+def _total(state: tuple, c: int) -> int:
+    """The count of a word whose last letter ``c`` follows ``state``.
+
+    ``c`` closes its letter, so only the last edge, from the slot ``x`` of
+    the letter before to the slot ``y`` of ``c``, is left to decide, and
+    :func:`_step` would only relabel the mate arrays after it.  All of a
+    mate array's ``free + taken`` selections may leave the edge out, and
+    its ``free`` ones, which left the edge before out, may also take it, as
+    in :func:`_step`, unless it is a loop or closes a cycle.
+
+    A shorter word that prefixes the word before it in a batch comes with the
+    state after its whole self; its last edge then reads as the loop from
+    ``c`` to itself, refused, and the count is the state's sum, as it is.
+    """
+    states, slot_of, _, (_, x, _) = state
+    y = slot_of[c]
+    return sum([free + taken + free if x != y != p[x] else free + taken
+                for p, (free, taken) in states.items()])
 
 
 def _read(state: tuple, c: int) -> tuple:

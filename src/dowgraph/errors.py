@@ -4,6 +4,8 @@ Input problems (bad words, bad letter sets, out-of-range sizes) derive from
 :class:`InputError`, which is a ``ValueError``.  :class:`InternalCheckError`
 signals that a verified identity failed at runtime; it is a bug indicator,
 never a user error, and the command line maps it to a distinct exit code.
+:func:`_require_int` is the one rule for the integer sizes the entry points
+take (letter counts, worker counts, Fibonacci indices).
 """
 
 from __future__ import annotations
@@ -61,6 +63,21 @@ class PreconditionViolatedError(InputError):
 
 class TooLargeError(InputError):
     """Raised when a requested exhaustive computation exceeds the size guard."""
+
+
+def _require_int(name: str, value: object, least: int) -> None:
+    """Refuse ``value`` as the integer argument ``name`` unless it is an
+    ``int`` (a ``bool`` is not one here) of at least ``least``.
+
+    >>> _require_int("n", True, 1)
+    Traceback (most recent call last):
+        ...
+    dowgraph.errors.InputError: n must be an integer, got True
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be at least {least}")
 
 
 class InternalCheckError(RuntimeError):

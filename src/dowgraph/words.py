@@ -23,10 +23,10 @@ from itertools import chain, groupby
 from .errors import (
     BadTokenError,
     EmptyWordError,
-    InputError,
     NotDoubleOccurrenceError,
     PreconditionViolatedError,
     SigmaEmptyError,
+    _require_int,
 )
 
 __all__ = [
@@ -238,13 +238,24 @@ def parse(text: str) -> Dow:
     return Dow(letters)
 
 
+# byte k to the ASCII digit k, for the compact form's letters 1..9
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def render(word: Dow) -> str:
     """Inverse of :func:`parse`: compact while the alphabet allows it.
 
-    >>> render(Dow((1, 2, 1, 2)))
-    '1212'
+    The compact form is one byte per letter, translated to its digit in
+    one call; the token form joins the letters' decimal strings.
+
+    >>> render(Dow((1, 2, 1, 2))), render(Dow((1, 10, 1, 10)))
+    ('1212', '1 10 1 10')
     """
-    return _separator(max(word.letters)).join(map(str, word.letters))
+    letters = word.letters
+    separator = _separator(max(letters))
+    if separator:
+        return separator.join(map(str, letters))
+    return bytes(letters).translate(_DIGITS).decode()
 
 
 def _separator(top: int) -> str:
@@ -385,9 +396,8 @@ _PIECE = 2048
 def _tangled_pieces(n: int) -> Iterator[tuple[int, ...]]:
     """The letters of the tangled cord over 1..n, ``2 * _PIECE`` at most at a
     time: :func:`cord_pattern`'s first letter, each letter with the one
-    before it, in windows, and its last.  n < 1 is refused at the call."""
-    if n < 1:
-        raise InputError("n must be at least 1")
+    before it, in windows, and its last.  A bad n is refused at the call."""
+    _require_int("n", n, 1)
     return chain([(1,)], (cord_pattern(range(lo - 1, min(lo + _PIECE, n + 1)))[1:-1]
                           for lo in range(2, n + 1, _PIECE)), [(n,)])
 

@@ -136,6 +136,44 @@ def test_fewer_than_one_letter_is_rejected(n):
             census_records(n, threads=threads)
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: census_records("6"), "n must be an integer, got '6'", id="records-str"),
+    pytest.param(lambda: census_records(2.5), "n must be an integer, got 2.5", id="records-float"),
+    pytest.param(lambda: census_records(True), "n must be an integer, got True", id="records-bool"),
+    pytest.param(lambda: census_records(9.5), "n must be an integer, got 9.5",
+                 id="records-float-past-the-guard"),
+    pytest.param(lambda: enumerate_dow_classes(2.5), "n must be an integer, got 2.5",
+                 id="classes-float"),
+    pytest.param(lambda: iter_canonical_words(2.5), "n must be an integer, got 2.5",
+                 id="raw-words-float"),
+    pytest.param(lambda: run_census(2.5), "n must be an integer, got 2.5", id="run-float"),
+    pytest.param(lambda: run_census(True), "n must be an integer, got True", id="run-bool"),
+    pytest.param(lambda: dg.tangled_cord("3"), "n must be an integer, got '3'", id="cord-str"),
+    pytest.param(lambda: dg.tangled_cord(2.5), "n must be an integer, got 2.5", id="cord-float"),
+    pytest.param(lambda: dg.fibonacci(2.5), "k must be an integer, got 2.5", id="fibonacci-float"),
+    pytest.param(lambda: census_records(3, threads="2"), "threads must be an integer, got '2'",
+                 id="threads-str"),
+    pytest.param(lambda: census_records(3, threads=2.5), "threads must be an integer, got 2.5",
+                 id="threads-float"),
+    pytest.param(lambda: census_records(3, threads=True), "threads must be an integer, got True",
+                 id="threads-bool"),
+    pytest.param(lambda: census_records(3, threads=0), "threads must be at least 1",
+                 id="threads-zero"),
+    pytest.param(lambda: census_records(3, threads=-1), "threads must be at least 1",
+                 id="threads-negative"),
+    pytest.param(lambda: census_records(9, threads="2"), "threads must be an integer, got '2'",
+                 id="threads-str-past-the-guard"),
+    pytest.param(lambda: run_census(3, threads=0), "threads must be at least 1",
+                 id="run-threads-zero"),
+])
+def test_sizes_that_are_not_positive_integers_are_input_errors(call, message):
+    # one rule for every size argument, checked before the census size guard
+    with pytest.raises(dg.InputError) as info:
+        call()
+    assert str(info.value) == message
+    assert type(info.value) is dg.InputError
+
+
 # --------------------------------------------------------------- records
 
 def test_records_for_two_letters(census_by_n):

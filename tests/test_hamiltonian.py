@@ -249,6 +249,47 @@ def test_batch_count_through_shared_and_repeated_prefixes():
     assert dg.count_words([]) == []
 
 
+def _full_state_count(word):
+    """The count the old batch loop read: every letter read into a state,
+    then the whole state summed.  The oracle for ``count_words`` reading
+    its last edge off with no final state."""
+    return sum(free + taken for free, taken in reduce(_read, word.letters, _START)[0].values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_last_edge_read_off_matches_the_full_state_sum(n):
+    # the census's batches: sorted classes, each sharing a prefix with the last
+    classes = dg.enumerate_dow_classes(n)
+    assert dg.count_words(classes) == [_full_state_count(w) for w in classes]
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_last_edge_read_off_matches_the_full_state_sum_on_shuffled_words(n):
+    rng = random.Random(n)
+    words = []
+    for _ in range(3):
+        letters = list(range(1, n + 1)) * 2
+        rng.shuffle(letters)
+        words.append(dg.Dow(letters))
+    expected = [_full_state_count(w) for w in words]
+    assert [dg.count_words([w])[0] for w in words] == expected
+    assert dg.count_words(words) == expected
+
+
+@pytest.mark.parametrize("texts", [
+    ["11"],
+    ["11", "11", "11"],
+    ["11", "1122", "112233"],
+    ["112233", "1122", "11"],
+    ["1122", "1122", "112233", "112233", "11", "1122"],
+    ["1212", "121323", "1212", "12132434", "121323"],
+], ids=["one-letter", "repeated", "prefix-chain", "prefix-chain-reversed", "repeated-prefixes",
+        "cords"])
+def test_last_edge_read_off_matches_the_full_state_sum_on_prefix_batches(texts):
+    words = [dg.parse(t) for t in texts]
+    assert dg.count_words(words) == [_full_state_count(w) for w in words]
+
+
 def test_reading_on_from_every_prefix_state_gives_the_count():
     # _read leaves the state it is given as it was, so the state after any
     # prefix can be read on from, and more than once, as a walk of the

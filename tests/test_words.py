@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import dowgraph as dg
 from dowgraph import words as words_module
-from dowgraph.census import iter_canonical_words
+from dowgraph import census
+from dowgraph.census import enumerate_dow_classes, iter_canonical_words
 
 from conftest import dows, renamed_dows
 
@@ -135,6 +136,37 @@ def test_dow_rejects_bool_letters():
 def test_render_parse_roundtrip(pair):
     _, word = pair
     assert dg.parse(dg.render(word)) == word
+
+
+def _joined_render(word):
+    """The old rendering, one string per letter joined by the separator:
+    the oracle for the compact form's one-call translation."""
+    return words_module._separator(max(word.letters)).join(map(str, word.letters))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_render_matches_the_joined_form_on_every_class(n):
+    for word in enumerate_dow_classes(n):
+        text = dg.render(word)
+        assert text == _joined_render(word)
+        assert dg.parse(text) == word
+
+
+@given(renamed_dows(max_n=8, max_letter=30))
+@settings(max_examples=200)
+def test_render_matches_the_joined_form_past_nine(pair):
+    # letters up to 30 give both forms, and words whose top letter is 9 or 10;
+    # test_render_parse_roundtrip checks that parse inverts them
+    _, word = pair
+    assert dg.render(word) == _joined_render(word)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_trie_words_are_valid_as_built(n):
+    # the trie keeps its leaves without validating them; Dow validates here
+    for word in census._trie_classes(n):
+        assert type(word.letters) is tuple
+        assert dg.Dow(word.letters) == word
 
 
 def test_render_switches_to_tokens_past_nine():

@@ -5,7 +5,9 @@ occurrences read 1, 2, 3, ...  The canonical words are the leaves of a
 prefix trie of depth 2n: at each position a word either closes one of its
 open letters (those seen once so far) or opens the next letter.  Taking
 the closes in ascending order and the opening last walks the leaves in
-lexicographic order, so the classes come out sorted with no sort.  There
+lexicographic order, so the classes come out sorted with no sort.  No
+branch dies, and the last position is forced: there one letter is open and
+none is left to open, so the walk closes it with no further search.  There
 are (2n-1)!! leaves, one per perfect matching of the 2n positions; a leaf
 is kept only when it reads no later than the canonical form of its
 reversal, which drops the reversal duplicates.  The trie builds every leaf
@@ -25,8 +27,9 @@ Every class is counted: the bound check and the count/parity check cover the
 whole census, never a part of it.  Each task's classes are counted by one
 batch of :func:`~dowgraph.counting.count_words`, whose frontier
 programme extends each class only past the prefix it shares with the
-previous one: at n = 6, in the ten tasks of one process, that is 15,569
-programme steps instead of 58,993 for a fresh count per class.  The other fields come from the verdict core that
+previous one: at n = 6, in the ten tasks of one process, that is 10,206
+programme steps (letters read) instead of 58,993 for a fresh count per
+class.  The other fields come from the verdict core that
 :func:`~dowgraph.maximality.analyze` runs after canonicalizing, with all of
 its checks; the classes are canonical already, so the census calls the
 core directly and builds no report.
@@ -175,19 +178,28 @@ def _is_representative(letters: Sequence[int]) -> bool:
 
 
 def _walk_trie(
-    n: int, prefix: tuple[int, ...], depth: int, visit: Callable[[list[int]], None]
-) -> None:
-    """Call ``visit`` on each canonical prefix of length ``depth`` that
-    extends ``prefix``, a canonical prefix itself, in lexicographic order.
-    ``visit`` gets one list that the walk keeps rewriting.  No branch dies:
-    the open letters plus twice the unopened ones fill the positions left."""
+    n: int, prefix: tuple[int, ...], depth: int,
+    keep: Callable[[list[int]], bool] | None = None,
+) -> list[tuple[int, ...]]:
+    """The canonical prefixes of length ``depth`` that extend ``prefix``, a
+    canonical prefix itself, in lexicographic order; with ``keep``, only
+    those it accepts.  ``keep`` gets one list that the walk keeps
+    rewriting.  No branch dies: the open letters plus twice the unopened
+    ones fill the positions left, so at position 2n - 1 one letter is open
+    and none is left to open, and the walk closes it there with no search."""
     word = list(prefix) + [0] * (depth - len(prefix))
     # the letters seen once so far, ascending
     once = sorted(set(prefix).difference(_occurrences(prefix)))
+    found: list[tuple[int, ...]] = []
+    forced = 2 * n - 1 if depth == 2 * n else -1
 
     def rec(pos: int, opened: int) -> None:
+        if pos == forced:
+            word[pos] = once[0]
+            pos += 1
         if pos == depth:
-            visit(word)
+            if keep is None or keep(word):
+                found.append(tuple(word))
             return
         for i in range(len(once)):
             a = once.pop(i)
@@ -201,6 +213,7 @@ def _walk_trie(
             once.pop()
 
     rec(len(prefix), max(prefix, default=0))
+    return found
 
 
 def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
@@ -216,14 +229,8 @@ def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
     >>> [render(w) for w in _trie_classes(2)]
     ['1122', '1212', '1221']
     """
-    classes: list[Dow] = []
-
-    def keep(word: list[int]) -> None:
-        if _is_representative(word):
-            classes.append(Dow._restore((tuple(word),)))
-
-    _walk_trie(n, prefix, 2 * n, keep)
-    return classes
+    kept = _walk_trie(n, prefix, 2 * n, _is_representative)
+    return [Dow._restore((letters,)) for letters in kept]
 
 
 def _trie_prefixes(n: int, at_least: int) -> list[tuple[int, ...]]:
@@ -234,8 +241,7 @@ def _trie_prefixes(n: int, at_least: int) -> list[tuple[int, ...]]:
     [(1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     """
     for depth in range(2 * n + 1):
-        prefixes: list[tuple[int, ...]] = []
-        _walk_trie(n, (), depth, lambda word: prefixes.append(tuple(word)))
+        prefixes = _walk_trie(n, (), depth)
         if len(prefixes) >= at_least:
             break
     return prefixes

@@ -15,7 +15,11 @@ neither the graph layer nor the enumeration.
 
 The parity test rests on one fact.  Deleted positions p_1 < p_2 < ...
 (1-based) leave only even pieces exactly when p_j = j (mod 2) for every j
-and their count is even.  :func:`even_split_witness` deepens by subset size
+and their count is even.  For one letter that reads straight off its two
+positions: it is a witness when it opens at an odd position and closes at
+an even one, and the smallest such label is the size-1 answer, found with
+no search (for n = 1 the letter is the whole word, which is no proper
+subset).  From size 2 on, :func:`even_split_witness` deepens by subset size
 and, within a size, picks letters in ascending label order.  Once
 ``letters[:i]`` are decided, every position before the first occurrence of
 any undecided letter is fixed, so the deleted positions there are checked
@@ -152,8 +156,16 @@ def even_split_witness(word: Dow) -> frozenset[int] | None:
 def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
     # even_split_witness on the occurrences of a word
     letters = sorted(pairs)
-    spots = [pairs[a] for a in letters]
     n = len(letters)
+    # size 1, read off the map: a letter that opens at an odd position and
+    # closes at an even one.  With n = 1 that letter is the whole word, and
+    # a witness is a proper subset
+    if n > 1:
+        for a in letters:
+            first, second = pairs[a]
+            if first & 1 and not second & 1:
+                return frozenset((a,))
+    spots = [pairs[a] for a in letters]
     # bound[i]: every position before it holds one of letters[:i]
     bound = [2 * n + 1] * (n + 1)
     low = bound[n]
@@ -161,7 +173,7 @@ def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
         if spots[i][0] < low:
             low = spots[i][0]
         bound[i] = low
-    for size in range(1, n):
+    for size in range(2, n):
         picked = _first_split_of_size(spots, bound, size)
         if picked is not None:
             return frozenset(letters[i] for i in picked)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,14 @@ from conftest import dows, renamed_dows
     ("121332", {1, 2}),
     ("1212", None),
     ("1221", {1}),
+    # the size-1 rule: the smallest label that works, whatever opens first
+    ("2211", {1}),
+    ("332211", {1}),
+    # only the largest letter works alone: tc(4) has no witness
+    ("1213243455", {5}),
+    # the lone letter passes the parity rule, but a witness is proper
+    ("11", None),
+    ("77", None),
 ])
 def test_witness_examples(text, expected):
     got = dg.even_split_witness(dg.parse(text))
@@ -64,17 +73,27 @@ def _scan_witness(word):
     return None
 
 
-def test_witness_matches_scan_on_every_small_word():
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_witness_matches_scan_on_every_small_word(n):
     words = 0
-    for n in range(1, 7):
-        for word in dg.iter_canonical_words(n):
-            # the reversal meets its labels out of order, unlike the word
-            for variant in (word, dg.reverse_word(word)):
-                assert dg.even_split_witness(variant) == _scan_witness(variant), (
-                    dg.render(variant)
-                )
-            words += 1
-    assert words == 11464
+    for word in dg.iter_canonical_words(n):
+        # the reversal meets its labels out of order, unlike the word
+        for variant in (word, dg.reverse_word(word)):
+            assert dg.even_split_witness(variant) == _scan_witness(variant), (
+                dg.render(variant)
+            )
+        words += 1
+    # (2n-1)!!, one word per position matching
+    assert words == prod(range(2 * n - 1, 0, -2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_witness_takes_the_smallest_label_when_labels_open_out_of_order(n):
+    # labels n..1 in opening order: the size-1 rule must pick the smallest
+    # label that works, not the letter that opens first
+    for word in dg.iter_canonical_words(n):
+        flipped = dg.Dow(tuple(n + 1 - a for a in word.letters))
+        assert dg.even_split_witness(flipped) == _scan_witness(flipped), dg.render(flipped)
 
 
 @given(renamed_dows(max_n=9), st.booleans())

@@ -5,16 +5,20 @@ Run from a checkout (Python 3.10+, nothing to install):
     python tools/engine_bench.py --n 6 --runs 15 --label "what this entry measures"
 
 It imports the ``dowgraph`` package of the checkout it sits in, from that
-checkout's ``src/``, and times three library calls, each ``--runs`` times
+checkout's ``src/``, and times five library calls, each ``--runs`` times
 after one untimed call:
 
 - ``census_records``: ``census_records(n)`` in one process;
 - ``count_words``: one ``count_words`` batch over the census-n classes;
-- ``write_records_csv``: the census-n records written to a string.
+- ``write_records_csv``: the census-n records written to a string;
+- ``enumerate_dow_classes``: ``enumerate_dow_classes(n)``, the trie walk
+  with its reversal test;
+- ``even_split_witness``: the parity witness of each census-n class.
 
 Every run of a call must give the same output, whose sha256 the entry keeps:
-of the records' fields, of the counts and of the CSV text.  Two entries
-with the same n and digests timed the same work.
+of the records' fields, of the counts, of the CSV text, of the classes'
+letters and of the witnesses (each sorted, or None).  Two entries with the
+same n and digests timed the same work.
 
 The entry goes at the end of the JSON list in ``--output`` (by default
 ``BENCH_engine.json`` at the checkout root): its label, the commit (``git
@@ -66,7 +70,15 @@ def _workloads(n: int) -> dict:
         dg.write_records_csv(records, stream)
         return _sha256(stream.getvalue())
 
-    return {"census_records": census, "count_words": count, "write_records_csv": write}
+    def trie() -> str:
+        return _sha256(repr([w.letters for w in dg.enumerate_dow_classes(n)]))
+
+    def witness() -> str:
+        return _sha256(repr([None if s is None else sorted(s)
+                             for s in map(dg.even_split_witness, classes)]))
+
+    return {"census_records": census, "count_words": count, "write_records_csv": write,
+            "enumerate_dow_classes": trie, "even_split_witness": witness}
 
 
 def _time(name: str, call, runs: int) -> dict:

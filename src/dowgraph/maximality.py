@@ -19,14 +19,19 @@ and their count is even.  For one letter that reads straight off its two
 positions: it is a witness when it opens at an odd position and closes at
 an even one, and the smallest such label is the size-1 answer, found with
 no search (for n = 1 the letter is the whole word, which is no proper
-subset).  From size 2 on, :func:`even_split_witness` deepens by subset size
-and, within a size, picks letters in ascending label order.  Once
-``letters[:i]`` are decided, every position before the first occurrence of
-any undecided letter is fixed, so the deleted positions there are checked
-at once and a branch dies on the first one out of parity.  The search only
-ever visits deleted positions, and it assumes nothing about the shape of
-the answer, so the tangled-cord check on the minimal split stays a real
-check.
+subset).  From size 2 on, :func:`even_split_witness` deepens by subset
+size, and for each size walks the positions left to right, depth first.
+Where a letter opens it is taken before it is left out, and only at a
+position of the parity wanted next; where a taken letter closes, the
+position must have that parity too, or the branch dies.  A branch is a
+witness once nothing is left to take and no taken letter is still open,
+and it dies as soon as more letters are still to take than are left to
+open.  So the scan meets a size's witnesses in combinations order of
+opening rank: when the labels open in ascending order, as in every
+canonical word, the first is the answer, and otherwise it is the least by
+sorted labels among that size's.  The search assumes nothing about the
+shape of the answer, so the tangled-cord check on the minimal split stays
+a real check.
 
 Everything here re-verifies its own output and raises
 :class:`~dowgraph.errors.InternalCheckError` on any discrepancy, so a green
@@ -82,68 +87,14 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{_SPANNED[name]}", __package__), name)
 
 
-def _settle(
-    pending: Sequence[int], limit: int, want: int
-) -> tuple[int, Sequence[int]] | None:
-    # the sorted deleted positions in ``pending`` below ``limit`` have become
-    # fixed; each must have parity ``want``, which flips after every one.
-    # Returns the parity wanted next and the positions still pending, or None
-    # when a fixed position is out of parity.
-    k = 0
-    for p in pending:
-        if p >= limit:
-            break
-        if p & 1 != want:
-            return None
-        want ^= 1
-        k += 1
-    return want, pending[k:]
-
-
-def _first_split_of_size(
-    spots: Sequence[tuple[int, int]], bound: Sequence[int], size: int
-) -> list[int] | None:
-    # depth-first over the size-subsets of letter indices in lexicographic
-    # order.  A frame is [next index to try, letters still to pick, parity
-    # wanted next, deleted positions not yet fixed]; a frame below the top
-    # picked the index one before its own next index.
-    n = len(spots)
-    stack = [[0, size, 1, ()]]
-    while stack:
-        frame = stack[-1]
-        i, need, want, pending = frame
-        if i > n - need:
-            stack.pop()
-            continue
-        # leaving letters out up to i fixes every position below bound[i]
-        if pending and pending[0] < bound[i]:
-            settled = _settle(pending, bound[i], want)
-            if settled is None:
-                # leaving out more letters fixes the same positions
-                stack.pop()
-                continue
-            want, pending = settled
-            frame[2], frame[3] = want, pending
-        frame[0] = i + 1
-        merged = sorted((*pending, *spots[i])) if pending else spots[i]
-        # with the last pick made, every other letter is left out
-        settled = _settle(merged, bound[i + 1] if need > 1 else bound[n], want)
-        if settled is None:
-            continue
-        if need == 1:
-            return [f[0] - 1 for f in stack]
-        stack.append([i + 1, need - 1, *settled])
-    return None
-
-
 def even_split_witness(word: Dow) -> frozenset[int] | None:
     """Smallest letter subset whose deletion leaves only even pieces.
 
     Among subsets of the smallest size that works, returns the first in
     ``combinations(sorted(letters), size)`` order, so the witness is
     deterministic.  None means every deletion leaves some odd piece, which
-    is exactly the bound-attaining case.  The search is the pruned one the
-    module docstring describes.
+    is exactly the bound-attaining case.  The search is the left-to-right
+    scan the module docstring describes.
 
     >>> even_split_witness(Dow((1, 1, 2, 2)))
     frozenset({1})
@@ -165,18 +116,53 @@ def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
             first, second = pairs[a]
             if first & 1 and not second & 1:
                 return frozenset((a,))
-    spots = [pairs[a] for a in letters]
-    # bound[i]: every position before it holds one of letters[:i]
-    bound = [2 * n + 1] * (n + 1)
-    low = bound[n]
-    for i in range(n - 1, -1, -1):
-        if spots[i][0] < low:
-            low = spots[i][0]
-        bound[i] = low
+    # closes[p]: where the letter that opens at p closes, or 0 where a
+    # letter closes; left[p]: the letters that open at p or later.  Past the
+    # end stands an opening with none left, where every search stops
+    closes = [0] * (2 * n + 2)
+    left = [0] * (2 * n + 2)
+    closes[-1] = 1
+    spots = sorted(pairs.values())
+    for rank, (first, second) in enumerate(spots):
+        closes[first] = second
+        left[first] = n - rank
+    # witnesses come in combinations order of opening rank, which is label
+    # order exactly when the labels open in ascending order
+    ordered = [pairs[a] for a in letters] == spots
     for size in range(2, n):
-        picked = _first_split_of_size(spots, bound, size)
-        if picked is not None:
-            return frozenset(letters[i] for i in picked)
+        best = None
+        # a state: the position next, the parity wanted next, the letters
+        # still to take, and the closing positions of the taken letters
+        stack = [(1, 1, size, 0)]
+        while stack:
+            pos, want, need, taken = stack.pop()
+            while True:
+                close = closes[pos]
+                if close:
+                    if need > left[pos]:
+                        break
+                    if need and pos & 1 == want:
+                        # take it; the branch that leaves it out resumes later
+                        stack.append((pos + 1, want, need, taken))
+                        want ^= 1
+                        need -= 1
+                        taken |= 1 << close
+                elif taken >> pos & 1:
+                    if pos & 1 != want:
+                        break
+                    want ^= 1
+                    if not need and not taken >> pos + 1:
+                        # nothing left to take and no taken letter open
+                        found = sorted(a for a, (_, second) in pairs.items()
+                                       if taken >> second & 1)
+                        if ordered:
+                            return frozenset(found)
+                        if best is None or found < best:
+                            best = found
+                        break
+                pos += 1
+        if best is not None:
+            return frozenset(best)
     return None
 
 

@@ -41,9 +41,17 @@ def test_witness_examples(text, expected):
     assert got == (None if expected is None else frozenset(expected))
 
 
+def _flip(word):
+    # labels n..1 where the word has 1..n, so they open in descending order
+    return dg.Dow(tuple(word.n + 1 - a for a in word.letters))
+
+
 @pytest.mark.parametrize("n", range(1, 61))
 def test_tangled_cords_have_no_witness(n):
-    assert dg.even_split_witness(dg.tangled_cord(n)) is None
+    cord = dg.tangled_cord(n)
+    # read backwards or relabelled, the labels open out of ascending order
+    for word in (cord, dg.reverse_word(cord), _flip(cord)):
+        assert dg.even_split_witness(word) is None, dg.render(word)
 
 
 def _gaps_all_even(positions, total):
@@ -99,7 +107,8 @@ def test_witness_takes_the_smallest_label_when_labels_open_out_of_order(n):
 @given(renamed_dows(max_n=9), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_witness_matches_scan_on_relabelled_words(pair, reverse):
-    # labels out of first-occurrence order exercise the prefix bound
+    # labels out of first-occurrence order leave the scan's first witness
+    # in opening order, which need not be the least by label
     _, word = pair
     if reverse:
         word = dg.reverse_word(word)
@@ -115,7 +124,19 @@ def _cord_composition(a, b):
 def test_composition_witness_is_the_smaller_cord(n):
     for a in range(1, n // 2 + 1):
         word = _cord_composition(a, n - a)
-        assert dg.even_split_witness(word) == frozenset(range(1, a + 1))
+        smaller = frozenset(range(1, a + 1))
+        assert dg.even_split_witness(word) == smaller
+        # backwards, the smaller cord keeps its letters
+        assert dg.even_split_witness(dg.reverse_word(word)) == smaller
+        # relabelled n..1 the smaller cord's letters become the largest,
+        # unless both cords are as small, when the smaller labels win
+        flipped = _flip(word)
+        expected = smaller if 2 * a == n else frozenset(n + 1 - x for x in smaller)
+        assert dg.even_split_witness(flipped) == expected
+    # the split projects to the smaller cord with its labels descending
+    top = max(expected)
+    cord = dg.Dow(tuple(top + 1 - x for x in dg.tangled_cord(n // 2).letters))
+    assert dg.minimal_even_split(flipped) == (expected, cord)
     if n <= 19:
         word = _cord_composition(n // 2, n - n // 2)
         assert dg.even_split_witness(word) == _scan_witness(word)

@@ -1,13 +1,13 @@
-"""The value contract of the records the graph, maximality and census
-layers return, as ``tests/test_words.py`` states it for ``Dow``.
+"""The value contract of the records every layer returns.
 
-``EvenSplit``, ``MaximalityReport``, ``CensusRecord``, ``CensusSummary`` and
-``PolygonalPath`` are immutable values: ``==`` and ``hash`` follow the field
-tuple, and the repr names every field.  A Hamiltonian set is a frozenset of
-paths, so its iteration order follows their hash values, and the census
-builds its records from the rows its worker processes send back.
-``AssemblyGraph`` holds a dict, so it is equal only to itself and hashes by
-identity.
+``Dow``, ``Segment``, ``SubwordSplit``, ``EvenSplit``, ``MaximalityReport``,
+``CensusRecord``, ``CensusSummary`` and ``PolygonalPath`` are immutable
+values: ``==`` and ``hash`` follow the field tuple, and the repr names every
+field.  Set iteration order, and so output order, follows their hash
+values: a Hamiltonian set is a frozenset of paths.  The census pickles every
+representative it sends back from a worker process and builds its records
+from those rows.  ``AssemblyGraph`` holds a dict, so it is equal only to
+itself and hashes by identity.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 import dowgraph as dg
 from dowgraph.maximality import EvenSplit, MaximalityReport
 
+_SEGMENT = dg.Segment(2, 3, (4, 5))
 _SPLIT = EvenSplit(frozenset({1}), dg.Dow((1, 1)))
 _SPLIT_TEXT = "EvenSplit(sigma=frozenset({1}), projection=Dow(letters=(1, 1)))"
 _REPORT_FIELDS = (dg.Dow((1, 1, 2, 2)), 2, True, None, _SPLIT)
@@ -27,6 +28,14 @@ _RECORD_FIELDS = (dg.Dow((1, 1)), 1, 1, True, False, True)
 _SUMMARY_FIELDS = (1, 1, (dg.Dow((1, 1)),), 0, 0, ())
 
 VALUES = [
+    pytest.param(dg.Dow((1, 2, 1, 2)), dg.Dow((1, 2, 1, 2)), dg.Dow((1, 1, 2, 2)),
+                 ((1, 2, 1, 2),), "Dow(letters=(1, 2, 1, 2))", id="Dow"),
+    pytest.param(_SEGMENT, dg.Segment(2, 3, (4, 5)), dg.Segment(2, 4, (4, 5)),
+                 (2, 3, (4, 5)), "Segment(start=2, end=3, letters=(4, 5))", id="Segment"),
+    pytest.param(dg.SubwordSplit((_SEGMENT,)), dg.SubwordSplit((dg.Segment(2, 3, (4, 5)),)),
+                 dg.SubwordSplit(()), ((_SEGMENT,),),
+                 "SubwordSplit(segments=(Segment(start=2, end=3, letters=(4, 5)),))",
+                 id="SubwordSplit"),
     pytest.param(_SPLIT, EvenSplit(frozenset({1}), dg.Dow((1, 1))),
                  EvenSplit(frozenset({2}), dg.Dow((2, 2))), (frozenset({1}), dg.Dow((1, 1))),
                  _SPLIT_TEXT, id="EvenSplit"),
@@ -57,7 +66,8 @@ VALUES = [
 def test_equality_holds_within_one_class_only(value, equal, unequal, fields, text):
     assert value == equal and not value != equal
     assert value != unequal and not value == unequal
-    for foreign in (fields, None, object(), text):
+    # nor its last field: a Dow's is its letter tuple
+    for foreign in (fields, fields[-1], None, object(), text):
         assert value != foreign and not value == foreign
 
 

@@ -5,8 +5,9 @@ Run from a checkout (Python 3.10+, nothing to install):
     python tools/engine_bench.py --n 6 --runs 15 --label "what this entry measures"
 
 It imports the ``dowgraph`` package of the checkout it sits in, from that
-checkout's ``src/``, and times five library calls, each ``--runs`` times
-after one untimed call:
+checkout's ``src/``, and times five library calls.  After one untimed call
+of each, it runs ``--runs`` rounds, and each round calls every one once, in
+the order below, so a burst of load from elsewhere falls on all five alike:
 
 - ``census_records``: ``census_records(n)`` in one process;
 - ``count_words``: one ``count_words`` batch over the census-n classes;
@@ -81,18 +82,22 @@ def _workloads(n: int) -> dict:
             "enumerate_dow_classes": trie, "even_split_witness": witness}
 
 
-def _time(name: str, call, runs: int) -> dict:
-    digest = call()
-    values = []
+def _time(workloads: dict, runs: int) -> dict:
+    digests = {name: call() for name, call in workloads.items()}
+    values = {name: [] for name in workloads}
     for _ in range(runs):
-        start = time.perf_counter()
-        again = call()
-        values.append(time.perf_counter() - start)
-        if again != digest:
-            raise SystemExit(f"error: {name} gave a different output on a later run")
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if runs > 1 else values * 3
-    return {"median_s": statistics.median(values), "q1_s": q1, "q3_s": q3, "values_s": values,
-            "sha256": digest}
+        for name, call in workloads.items():
+            start = time.perf_counter()
+            again = call()
+            values[name].append(time.perf_counter() - start)
+            if again != digests[name]:
+                raise SystemExit(f"error: {name} gave a different output on a later run")
+    results = {}
+    for name, times in values.items():
+        q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive") if runs > 1 else times * 3
+        results[name] = {"median_s": statistics.median(times), "q1_s": q1, "q3_s": q3,
+                         "values_s": times, "sha256": digests[name]}
+    return results
 
 
 def _commit() -> str:
@@ -125,8 +130,7 @@ def main(argv: list[str] | None = None) -> None:
         else os.cpu_count(),
         "n": args.n,
         "runs": args.runs,
-        "workloads": {name: _time(name, call, args.runs)
-                      for name, call in _workloads(args.n).items()},
+        "workloads": _time(_workloads(args.n), args.runs),
     }
     entries = json.loads(args.output.read_text()) if args.output.exists() else []
     entries.append(entry)

@@ -15,23 +15,35 @@ neither the graph layer nor the enumeration.
 
 The parity test rests on one fact.  Deleted positions p_1 < p_2 < ...
 (1-based) leave only even pieces exactly when p_j = j (mod 2) for every j
-and their count is even.  For one letter that reads straight off its two
-positions: it is a witness when it opens at an odd position and closes at
-an even one, and the smallest such label is the size-1 answer, found with
-no search (for n = 1 the letter is the whole word, which is no proper
-subset).  From size 2 on, :func:`even_split_witness` deepens by subset
-size, and for each size walks the positions left to right, depth first.
-Where a letter opens it is taken before it is left out, and only at a
-position of the parity wanted next; where a taken letter closes, the
-position must have that parity too, or the branch dies.  A branch is a
-witness once nothing is left to take and no taken letter is still open,
-and it dies as soon as more letters are still to take than are left to
-open.  So the scan meets a size's witnesses in combinations order of
-opening rank: when the labels open in ascending order, as in every
-canonical word, the first is the answer, and otherwise it is the least by
-sorted labels among that size's.  The search assumes nothing about the
-shape of the answer, so the tangled-cord check on the minimal split stays
-a real check.
+and their count is even.  A witness with no smaller witness inside it
+projects onto a tangled cord, so a smallest witness is a chain a_1, ...,
+a_m of letters, each interlocking the next, whose positions read
+o_1 o_2 c_1 o_3 c_2 ... o_m c_(m-1) c_m, where a_k opens at o_k and closes
+at c_k.  The parity rule asks the chain for o_1 odd, every later o_k even,
+every c_k odd but the last, and c_m even.  For m = 1 that reads straight
+off the occurrence map: a letter that opens at an odd position and closes
+at an even one, the smallest such label being the answer (for n = 1 the
+letter is the whole word, which is no proper subset).  Longer chains come
+from a breadth-first search with one layer per chain length.  A state is
+the chain's last letter b with the position where the letter before it
+closes (0 for none); while b closes at an odd position, the state goes on
+to each letter that opens at an even position after that close and after
+b opens, but before b closes, and that closes after b does.  The first
+layer with a state whose letter closes at an even position holds the
+smallest witnesses, and the search gives up before size n, since a
+witness is a proper subset.
+
+Each state keeps the least chain by sorted labels among those of its
+length that reach it, and that is right for every labelling.  What a
+state can still take depends on the state alone, and every letter it can
+take opens after the letters of its chain before b have closed and is not
+b, so a completion S is disjoint from any two chains A and B of the state.
+For A and B of equal size, sorted(A | S) < sorted(B | S) exactly when
+min(A ^ B) lies in A, whatever S is.  A state met at an earlier layer is
+not taken again, since a chain through it at a later layer is not a
+shortest one.  So each of the O(n^2) states is expanded once, over O(n)
+positions: the search takes O(n^3) steps on every word, each copying or
+comparing one chain, and holds O(n^2) states.
 
 Everything here re-verifies its own output and raises
 :class:`~dowgraph.errors.InternalCheckError` on any discrepancy, so a green
@@ -90,11 +102,12 @@ def __getattr__(name: str):
 def even_split_witness(word: Dow) -> frozenset[int] | None:
     """Smallest letter subset whose deletion leaves only even pieces.
 
-    Among subsets of the smallest size that works, returns the first in
-    ``combinations(sorted(letters), size)`` order, so the witness is
-    deterministic.  None means every deletion leaves some odd piece, which
-    is exactly the bound-attaining case.  The search is the left-to-right
-    scan the module docstring describes.
+    Among subsets of the smallest size that works, returns the least by
+    sorted labels, the first in ``combinations(sorted(letters), size)``
+    order, so the witness is deterministic.  None means every deletion
+    leaves some odd piece, which is exactly the bound-attaining case.  The
+    search is the shortest parity chain the module docstring describes,
+    O(n^3) steps on every word.
 
     >>> even_split_witness(Dow((1, 1, 2, 2)))
     frozenset({1})
@@ -108,61 +121,39 @@ def _even_split(pairs: dict[int, tuple[int, int]]) -> frozenset[int] | None:
     # even_split_witness on the occurrences of a word
     letters = sorted(pairs)
     n = len(letters)
-    # size 1, read off the map: a letter that opens at an odd position and
-    # closes at an even one.  With n = 1 that letter is the whole word, and
-    # a witness is a proper subset
+    # chains of one letter, read off the map.  With n = 1 that letter is
+    # the whole word, and a witness is a proper subset
     if n > 1:
         for a in letters:
             first, second = pairs[a]
             if first & 1 and not second & 1:
                 return frozenset((a,))
-    # closes[p]: where the letter that opens at p closes, or 0 where a
-    # letter closes; left[p]: the letters that open at p or later.  Past the
-    # end stands an opening with none left, where every search stops
-    closes = [0] * (2 * n + 2)
-    left = [0] * (2 * n + 2)
-    closes[-1] = 1
-    spots = sorted(pairs.values())
-    for rank, (first, second) in enumerate(spots):
-        closes[first] = second
-        left[first] = n - rank
-    # witnesses come in combinations order of opening rank, which is label
-    # order exactly when the labels open in ascending order
-    ordered = [pairs[a] for a in letters] == spots
-    for size in range(2, n):
-        best = None
-        # a state: the position next, the parity wanted next, the letters
-        # still to take, and the closing positions of the taken letters
-        stack = [(1, 1, size, 0)]
-        while stack:
-            pos, want, need, taken = stack.pop()
-            while True:
-                close = closes[pos]
-                if close:
-                    if need > left[pos]:
-                        break
-                    if need and pos & 1 == want:
-                        # take it; the branch that leaves it out resumes later
-                        stack.append((pos + 1, want, need, taken))
-                        want ^= 1
-                        need -= 1
-                        taken |= 1 << close
-                elif taken >> pos & 1:
-                    if pos & 1 != want:
-                        break
-                    want ^= 1
-                    if not need and not taken >> pos + 1:
-                        # nothing left to take and no taken letter open
-                        found = sorted(a for a, (_, second) in pairs.items()
-                                       if taken >> second & 1)
-                        if ordered:
-                            return frozenset(found)
-                        if best is None or found < best:
-                            best = found
-                        break
-                pos += 1
-        if best is not None:
-            return frozenset(best)
+    # opener[p]: the letter that opens at position p, or 0
+    opener = [0] * (2 * n)
+    for a, (first, _) in pairs.items():
+        opener[first] = a
+    # a state (before, b): the chain ends in b, and the letter before b
+    # closes at before; it maps to its least chain, in opening order
+    layer = {(0, a): (a,) for a in letters if pairs[a][0] & 1}
+    seen = set(layer)
+    # one layer per chain length; a witness is a proper subset
+    for _ in range(2, n):
+        grown = {}
+        for (before, b), chain in layer.items():
+            first, close = pairs[b]
+            # the letters opening at even positions past before and b's
+            # opening, until b closes
+            for c in opener[max(first, before) + 2 & -2:close:2]:
+                if c and pairs[c][1] > close and (close, c) not in seen:
+                    longer = chain + (c,)
+                    known = grown.get((close, c))
+                    if known is None or sorted(longer) < sorted(known):
+                        grown[close, c] = longer
+        ends = [chain for (_, c), chain in grown.items() if not pairs[c][1] & 1]
+        if ends:
+            return frozenset(min(ends, key=sorted))
+        seen.update(grown)
+        layer = grown
     return None
 
 

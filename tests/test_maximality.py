@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from itertools import combinations, product
 from math import prod
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import dowgraph as dg
 from dowgraph.census import iter_canonical_words
 from dowgraph.hamiltonian import nonconsecutive_masks
-from dowgraph.oracles import paired_endpoints_witness
+from dowgraph.oracles import paired_endpoints_witness, scan_even_split
 
 from conftest import dows, renamed_dows
 
@@ -64,11 +65,10 @@ def _gaps_all_even(positions, total):
 
 
 def _scan_witness(word):
-    """Oracle: the plain scan that the pruned search replaced.
-
-    Tries every proper non-empty letter subset by ascending size, then in
-    ``combinations`` order, and tests the gaps around the deleted positions
-    directly, so a maximal word costs 2^n - 2 subset tests.
+    """Oracle: every proper non-empty letter subset, by ascending size and
+    then in ``combinations`` order, with the gaps around its deleted
+    positions tested directly, so a maximal word costs 2^n - 2 subset
+    tests.
     """
     occ = dg.occurrences(word)
     letters = sorted(word.alphabet)
@@ -102,6 +102,61 @@ def test_witness_takes_the_smallest_label_when_labels_open_out_of_order(n):
     for word in dg.iter_canonical_words(n):
         flipped = dg.Dow(tuple(n + 1 - a for a in word.letters))
         assert dg.even_split_witness(flipped) == _scan_witness(flipped), dg.render(flipped)
+
+
+def _block_reversed(n):
+    """tc(n) with the middle third of its positions, L[2n//3 : 4n//3], read
+    backwards, canonicalized.  Its smallest witness has n/3 letters when 3
+    divides n, and many partial witnesses survive every smaller size."""
+    letters = list(dg.tangled_cord(n).letters)
+    letters[2 * n // 3:4 * n // 3] = letters[2 * n // 3:4 * n // 3][::-1]
+    return dg.canonicalize(dg.Dow(letters))
+
+
+def _larger_words():
+    # the block-reversed family, forwards, backwards and relabelled n..1
+    for n in range(1, 49):
+        word = _block_reversed(n)
+        yield from (word, dg.reverse_word(word), _flip(word))
+    # seeded random words, relabelled, forwards and backwards: shuffles, and
+    # tangled cords with a few positions swapped, whose witnesses run long
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(8, 40)
+        letters = list(dg.tangled_cord(n).letters)
+        if rng.random() < 0.2:
+            rng.shuffle(letters)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(2 * n), rng.randrange(2 * n)
+            letters[i], letters[j] = letters[j], letters[i]
+        labels = rng.sample(range(1, 10 * n), n)
+        word = dg.Dow(labels[a - 1] for a in letters)
+        yield from (word, dg.reverse_word(word))
+
+
+def test_witness_matches_the_oracle_scan_on_larger_words():
+    sizes = set()
+    for word in _larger_words():
+        witness = dg.even_split_witness(word)
+        assert witness == scan_even_split(dg.occurrences(word)), dg.render(word)
+        sizes.add(0 if witness is None else len(witness))
+    # the words reach well past the one-letter witnesses
+    assert len(sizes) > 15
+
+
+def test_block_reversed_witness_is_a_third_of_the_word():
+    # the sizes run in ascending order, so a search that turns exponential
+    # fails at the first word over the bound rather than running on
+    for n in range(24, 241, 12):
+        word = _block_reversed(n)
+        started = time.perf_counter()
+        report = dg.analyze(word)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.25, (n, elapsed)
+        split = report.minimal_even_split
+        assert len(split.sigma) == n // 3
+        assert dg.is_tangled_cord(split.projection)
+        assert dg.delete(word, split.sigma).all_even()
 
 
 @given(renamed_dows(max_n=9), st.booleans())

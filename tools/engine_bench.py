@@ -5,21 +5,24 @@ Run from a checkout (Python 3.10+, nothing to install):
     python tools/engine_bench.py --n 6 --runs 15 --label "what this entry measures"
 
 It imports the ``dowgraph`` package of the checkout it sits in, from that
-checkout's ``src/``, and times five library calls.  After one untimed call
+checkout's ``src/``, and times six library calls.  After one untimed call
 of each, it runs ``--runs`` rounds, and each round calls every one once, in
-the order below, so a burst of load from elsewhere falls on all five alike:
+the order below, so a burst of load from elsewhere falls on all six alike:
 
 - ``census_records``: ``census_records(n)`` in one process;
 - ``count_words``: one ``count_words`` batch over the census-n classes;
 - ``write_records_csv``: the census-n records written to a string;
 - ``enumerate_dow_classes``: ``enumerate_dow_classes(n)``, the trie walk
   with its reversal test;
-- ``even_split_witness``: the parity witness of each census-n class.
+- ``even_split_witness``: the parity witness of each census-n class;
+- ``witness_family``: the parity witness of the tangled cords with 24, 36
+  and 48 letters whose middle third of positions is reversed, words on which
+  a search by subset size turns exponential.
 
 Every run of a call must give the same output, whose sha256 the entry keeps:
 of the records' fields, of the counts, of the CSV text, of the classes'
-letters and of the witnesses (each sorted, or None).  Two entries with the
-same n and digests timed the same work.
+letters and of each witness call's witnesses (each sorted, or None).  Two
+entries with the same n and digests timed the same work.
 
 The entry goes at the end of the JSON list in ``--output`` (by default
 ``BENCH_engine.json`` at the checkout root): its label, the commit (``git
@@ -52,11 +55,25 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def block_reversed(n: int) -> dg.Dow:
+    """The tangled cord with n letters, the middle third of its positions
+    (``[2n//3 : 4n//3]``) read backwards, canonicalized."""
+    letters = list(dg.tangled_cord(n).letters)
+    letters[2 * n // 3:4 * n // 3] = letters[2 * n // 3:4 * n // 3][::-1]
+    return dg.canonicalize(dg.Dow(letters))
+
+
+def _witnesses(words: list) -> str:
+    return _sha256(repr([None if s is None else sorted(s)
+                         for s in map(dg.even_split_witness, words)]))
+
+
 def _workloads(n: int) -> dict:
     """Each call's name mapped to a function that runs it once and returns
     the digest of its output."""
     records = dg.census_records(n)
     classes = [r.representative for r in records]
+    family = [block_reversed(size) for size in (24, 36, 48)]
 
     def census() -> str:
         rows = [(r.representative.letters, r.count, r.bound, r.is_maximal, r.is_composition,
@@ -74,12 +91,9 @@ def _workloads(n: int) -> dict:
     def trie() -> str:
         return _sha256(repr([w.letters for w in dg.enumerate_dow_classes(n)]))
 
-    def witness() -> str:
-        return _sha256(repr([None if s is None else sorted(s)
-                             for s in map(dg.even_split_witness, classes)]))
-
     return {"census_records": census, "count_words": count, "write_records_csv": write,
-            "enumerate_dow_classes": trie, "even_split_witness": witness}
+            "enumerate_dow_classes": trie, "even_split_witness": lambda: _witnesses(classes),
+            "witness_family": lambda: _witnesses(family)}
 
 
 def _time(workloads: dict, runs: int) -> dict:

@@ -11,9 +11,11 @@ none is left to open, so the walk closes it with no further search.  There
 are (2n-1)!! leaves, one per perfect matching of the 2n positions; a leaf
 is kept only when it reads no later than the canonical form of its
 reversal, which drops the reversal duplicates.  The trie builds every leaf
-valid, canonical and with each letter twice, so a kept leaf becomes a
-:class:`~dowgraph.words.Dow` without validating it again; the tests check
-the trie's words against the validating :func:`iter_canonical_words`.
+valid, canonical and with each letter twice, so a kept leaf stays a tuple
+of letters all the way through counting and the verdict core, and becomes
+a :class:`~dowgraph.words.Dow` once, in its record, without validating it
+again; the tests check the trie's words against the validating
+:func:`iter_canonical_words`.
 
 The census then analyzes every class and checks the headline facts on the
 way out: nobody exceeds the Fibonacci bound, the parity verdict matches the
@@ -25,7 +27,8 @@ two facts raise at once, and the first three fill the summary's
 
 Every class is counted: the bound check and the count/parity check cover the
 whole census, never a part of it.  Each task's classes are counted by one
-batch of :func:`~dowgraph.counting.count_words`, whose frontier
+batch of the counting programme of :func:`~dowgraph.counting.count_words`,
+on their letters, whose frontier
 programme extends each class only past the prefix it shares with the
 previous one: at n = 6, in the ten tasks of one process, that is 10,206
 programme steps (letters read) instead of 58,993 for a fresh count per
@@ -55,7 +58,7 @@ from math import prod
 from typing import TextIO
 
 from .errors import InternalCheckError, TooLargeError, _require_int
-from .counting import count_words, fibonacci
+from .counting import _count, fibonacci
 from .maximality import _verdicts
 from .words import Dow, _Frozen, _occurrences, render, tangled_cord
 # bench/spans.py wraps both here by name; they stay importable
@@ -216,21 +219,22 @@ def _walk_trie(
     return found
 
 
-def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[Dow]:
-    """Class representatives with n letters that start with ``prefix``.
+def _trie_classes(n: int, prefix: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The letters of the class representatives with n letters that start
+    with ``prefix``.
 
     ``prefix`` must be a prefix of a canonical word with n letters.  The
     walk down the trie below it meets the canonical words in lexicographic
     order, so the representatives come back sorted.  Each leaf is built
-    valid, so it becomes a :class:`Dow` as it stands, without validation.
+    valid, so its tuple is a word's letters as it stands: a caller that
+    wants a :class:`Dow` restores one without validation.
 
-    >>> [render(w) for w in _trie_classes(3, (1, 2, 1))]
-    ['121323', '121332']
-    >>> [render(w) for w in _trie_classes(2)]
-    ['1122', '1212', '1221']
+    >>> _trie_classes(3, (1, 2, 1))
+    [(1, 2, 1, 3, 2, 3), (1, 2, 1, 3, 3, 2)]
+    >>> _trie_classes(2)
+    [(1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 1)]
     """
-    kept = _walk_trie(n, prefix, 2 * n, _is_representative)
-    return [Dow._restore((letters,)) for letters in kept]
+    return _walk_trie(n, prefix, 2 * n, _is_representative)
 
 
 def _trie_prefixes(n: int, at_least: int) -> list[tuple[int, ...]]:
@@ -250,7 +254,7 @@ def _trie_prefixes(n: int, at_least: int) -> list[tuple[int, ...]]:
 def enumerate_dow_classes(n: int, unsafe_large: bool = False) -> list[Dow]:
     """Class representatives with n letters, sorted lexicographically."""
     _check_census_size(n, unsafe_large)
-    return _trie_classes(n)
+    return [Dow._restore((letters,)) for letters in _trie_classes(n)]
 
 
 def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[tuple]:
@@ -259,16 +263,16 @@ def _analyze_subtrie(n: int, prefix: tuple[int, ...]) -> list[tuple]:
 
     The counts come from one batch of the counting programme, which shares
     the work along the common prefixes of the sorted classes; every other
-    field comes from the verdict core of :func:`analyze`.  A row holds only
-    a tuple, an integer and booleans, so that it pickles cheaply;
-    :func:`census_records` builds the records from the rows.
+    field comes from the verdict core of :func:`analyze`.  Both read the
+    trie's letter tuples, and each row keeps its tuple, so no :class:`Dow`
+    is built here.  A row holds only a tuple, an integer and booleans, so
+    that it pickles cheaply; :func:`census_records` builds the records from
+    the rows.
     """
-    words = _trie_classes(n, prefix)
-    rows = []
-    for word, count in zip(words, count_words(words)):
-        split, is_composition, cord = _verdicts(word)
-        rows.append((word.letters, count, split is None, is_composition, cord is not None))
-    return rows
+    classes = _trie_classes(n, prefix)
+    return [(letters, count, split is None, is_composition, cord is not None)
+            for letters, count in zip(classes, _count(classes))
+            for split, is_composition, cord in [_verdicts(letters)]]
 
 
 def census_records(n: int, threads: int = 1, unsafe_large: bool = False) -> list[CensusRecord]:
@@ -301,7 +305,8 @@ def _records(n: int, parts: Iterable[list[tuple]]) -> list[CensusRecord]:
     """The records of the tasks' rows, taken in order and one task at a
     time, so that only one task's rows are held beside the records."""
     bound = fibonacci(2 * n + 1) - 1
-    # the trie built the letters valid (see _trie_classes); positional
+    # each row's letters are the trie's tuple, built valid (see
+    # _trie_classes), and become the class's one Dow here; positional
     # arguments, since the keyword path costs about three times as much
     return [
         CensusRecord(Dow._restore((letters,)), count, bound, is_maximal, is_composition, has_cord)

@@ -62,11 +62,19 @@ def count_words(words: Iterable[Dow]) -> list[int]:
     that the next word shares, pops back to it, and reads only the rest.
     Sorted words share the most; any order gives the same counts.
 
+    The programme reads only the letters, so the batch runs in
+    :func:`_count` on the words' letter tuples, which the census passes
+    it directly.
+
     >>> from dowgraph import parse
     >>> count_words([parse("11"), parse("1122"), parse("1212"), parse("11")])
     [1, 2, 4, 1]
     """
-    letters = [word.letters for word in words]
+    return _count([word.letters for word in words])
+
+
+def _count(letters: list[tuple[int, ...]]) -> list[int]:
+    # count_words on the words' letter tuples
     counts: list[int] = []
     # stack[k] is the state after w[0..k] while the next word shares w[0..k]
     stack: list[tuple] = []

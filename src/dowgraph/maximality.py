@@ -63,15 +63,15 @@ from .words import (
     _composition_cut,
     _is_tangled,
     _occurrences,
+    _render,
     canonicalize,
     cord_pattern,
     delete_letters,
     occurrences,
-    project,
     render,
 )
-# bench/spans.py wraps both here by name; they stay importable
-from .words import is_tangled_cord, split_composition  # noqa: F401
+# bench/spans.py wraps these here by name; they stay importable
+from .words import is_tangled_cord, project, split_composition  # noqa: F401
 
 __all__ = [
     "CROSS_CHECK_LIMIT",
@@ -172,9 +172,7 @@ def _frames(letters: Sequence[int], cord: tuple[int, ...]) -> bool:
     # in a sequence that is not a word a repeated cord letter can still
     # project onto the pattern, as (1, 2, 1) does on 12133121
     keep = set(cord)
-    if not cord or len(keep) != len(cord):
-        return False
-    if letters[0] != cord[0] or letters[-1] != cord[-1]:
+    if not cord or len(keep) != len(cord) or (letters[0], letters[-1]) != (cord[0], cord[-1]):
         return False
     return tuple([a for a in letters if a in keep]) == cord_pattern(cord)
 
@@ -191,17 +189,19 @@ def find_framing_cord(word: Dow) -> tuple[int, ...] | None:
     closes last is, at the current right end, the straddling letter that
     reaches furthest, and the run is stuck when it closes right there.
     """
-    return _framing_cord(word, occurrences(word))
+    return _framing_cord(word.letters, occurrences(word))
 
 
-def _framing_cord(word: Dow, occ: dict[int, tuple[int, int]]) -> tuple[int, ...] | None:
-    # find_framing_cord on a word and its occurrences
+def _framing_cord(
+    letters: Sequence[int], occ: dict[int, tuple[int, int]],
+) -> tuple[int, ...] | None:
+    # find_framing_cord on a word's letters and their occurrences
     # best: the letter opened so far that closes last, at position reach
-    best = word.letters[0]
+    best = letters[0]
     cord = [best]
     end = reach = occ[best][1]
     # the last position closes the word, and the cord with it
-    for pos, a in enumerate(word.letters[:-1], start=1):
+    for pos, a in enumerate(letters[:-1], start=1):
         if occ[a][1] > reach:
             best, reach = a, occ[a][1]
         if pos == end:
@@ -210,9 +210,9 @@ def _framing_cord(word: Dow, occ: dict[int, tuple[int, int]]) -> tuple[int, ...]
             cord.append(best)
             end = reach
     result = tuple(cord)
-    if not is_framing_cord(word, result):
+    if not _frames(letters, result):
         raise InternalCheckError(
-            f"greedy cord {result} fails the framing check on {render(word)}"
+            f"greedy cord {result} fails the framing check on {_render(letters)}"
         )
     return result
 
@@ -274,38 +274,39 @@ def minimal_even_split(word: Dow) -> tuple[frozenset[int], Dow] | None:
     projection is checked to be a tangled cord; that identity is the point
     of the whole construction, so its failure is an internal error.
     """
-    split = _verdicts(word)[0]
+    split = _verdicts(word.letters)[0]
     return None if split is None else (split[0], Dow(split[1]))
 
 
 def _verdicts(
-    word: Dow,
+    letters: tuple[int, ...],
 ) -> tuple[tuple[frozenset[int], tuple[int, ...]] | None, bool, tuple[int, ...] | None]:
     """The minimal even split with its projection's letters, the
-    composition flag and the framing cord.
+    composition flag and the framing cord of a word, given by its letters.
 
-    The core that :func:`analyze` and the census share.  The word is taken
-    as it is, so the letters returned are its own: :func:`analyze`
-    canonicalizes first, and the census's classes are canonical already.
-    The checks all fire here: the split projects to a tangled cord, the
-    cord frames the word, and a cord exists exactly when the word is no
-    composition.
+    The core that :func:`analyze` and the census share.  It reads the
+    letters and builds no :class:`Dow`: :func:`analyze` passes a
+    canonicalized word's, and the census its trie's tuples, canonical
+    already.  The letters are taken as they are, so the letters returned
+    are theirs.  The checks all fire here: the split projects to a tangled
+    cord, the cord frames the word, and a cord exists exactly when the word
+    is no composition.
     """
-    pairs = occurrences(word)
+    pairs = _occurrences(letters)
     sigma = _even_split(pairs)
     split = None
     if sigma is not None:
-        split = sigma, project(word, sigma)
+        split = sigma, tuple([a for a in letters if a in sigma])
         if not _is_tangled(split[1]):
             raise InternalCheckError(
-                f"minimal split {sorted(sigma)} of {render(word)} projects to "
-                f"{render(Dow(split[1]))}, which is not a tangled cord"
+                f"minimal split {sorted(sigma)} of {_render(letters)} projects to "
+                f"{_render(split[1])}, which is not a tangled cord"
             )
     is_composition = _composition_cut(pairs) is not None
-    cord = _framing_cord(word, pairs)
+    cord = _framing_cord(letters, pairs)
     if (cord is None) != is_composition:
         raise InternalCheckError(
-            f"cord extraction and composition split disagree on {render(word)}"
+            f"cord extraction and composition split disagree on {_render(letters)}"
         )
     return split, is_composition, cord
 
@@ -388,7 +389,7 @@ def analyze(word: Dow) -> MaximalityReport:
     the word is not maximal, raises :class:`~dowgraph.errors.InternalCheckError`.
     """
     canonical = canonicalize(word)
-    minimal, is_composition, cord = _verdicts(canonical)
+    minimal, is_composition, cord = _verdicts(canonical.letters)
     split = None if minimal is None else EvenSplit(minimal[0], Dow(minimal[1]))
     count = count_words([canonical])[0] if canonical.n <= CROSS_CHECK_LIMIT else None
     report = MaximalityReport(canonical, count, is_composition, cord, split)

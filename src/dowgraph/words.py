@@ -251,7 +251,11 @@ def render(word: Dow) -> str:
     >>> render(Dow((1, 2, 1, 2))), render(Dow((1, 10, 1, 10)))
     ('1212', '1 10 1 10')
     """
-    letters = word.letters
+    return _render(word.letters)
+
+
+def _render(letters: Sequence[int]) -> str:
+    # render on the letters of a word, built or not
     separator = _separator(max(letters))
     if separator:
         return separator.join(map(str, letters))

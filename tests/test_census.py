@@ -55,11 +55,11 @@ def test_trie_classes_match_the_raw_word_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_subtries_partition_the_classes_at_every_depth(n):
-    classes = enumerate_dow_classes(n)
+    classes = [w.letters for w in enumerate_dow_classes(n)]
     for depth in range(2 * n + 1):
         prefixes = sorted({w.letters[:depth] for w in iter_canonical_words(n)})
         parts = [census._trie_classes(n, prefix) for prefix in prefixes]
-        assert [w for part in parts for w in part] == classes
+        assert [letters for part in parts for letters in part] == classes
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -217,12 +217,29 @@ def test_records_agree_with_analyze(census_by_n):
     ("_even_split", lambda pairs: frozenset(pairs), "not a tangled cord"),
     # no composition anywhere, though 11223344 has no framing cord
     ("_composition_cut", lambda pairs: None, "disagree"),
-    ("is_framing_cord", lambda word, cord: False, "fails the framing check"),
+    ("_frames", lambda letters, cord: False, "fails the framing check"),
 ], ids=["witness", "composition", "framing"])
 def test_census_checks_still_fire(monkeypatch, helper, fault, message):
     monkeypatch.setattr(dg.maximality, helper, fault)
     with pytest.raises(dg.InternalCheckError, match=message):
         census_records(4)
+
+
+def test_census_count_checks_still_fire(monkeypatch):
+    # every count one too high: tc(4) passes the bound and so disagrees with
+    # its parity verdict, as does every class one short of the bound
+    bound = dg.fibonacci(9) - 1
+    near = [r.representative for r in census_records(4) if r.count == bound - 1]
+    assert near
+    count = census._count
+    monkeypatch.setattr(census, "_count", lambda classes: [c + 1 for c in count(classes)])
+    summary = run_census(4)
+    disagreeing = tuple(sorted([dg.tangled_cord(4), *near], key=lambda w: w.letters))
+    assert summary.failures == (
+        ("1 bound violation(s)", (dg.tangled_cord(4),)),
+        (f"{len(disagreeing)} count/parity disagreement(s)", disagreeing),
+    )
+    assert (summary.bound_violations, summary.equivalence_failures) == (1, len(disagreeing))
 
 
 def test_worker_fanout_does_not_change_records():

@@ -162,10 +162,11 @@ def test_render_matches_the_joined_form_past_nine(pair):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_trie_words_are_valid_as_built(n):
-    # the trie keeps its leaves without validating them; Dow validates here
-    for word in census._trie_classes(n):
-        assert type(word.letters) is tuple
-        assert dg.Dow(word.letters) == word
+    # the trie keeps its leaves' letters without validating them; Dow
+    # validates here
+    for letters in census._trie_classes(n):
+        assert type(letters) is tuple
+        assert dg.Dow(letters).letters == letters
 
 
 def test_render_switches_to_tokens_past_nine():
